@@ -23,7 +23,8 @@ from . import corpus
 from .contexts import UnknownLabelError, find_maximal_contexts, validate_context
 from .search import (InconsistentAssignmentError, admissible_assignments,
                      localized_indefiniteness_certificate)
-from .valuation import ZeroStateError, born_value, localize_indefiniteness
+from .valuation import (TruthValue, ZeroStateError, born_value, evaluate_bivalent,
+                        evaluate_context, localize_indefiniteness)  # noqa: F401
 from .linalg import Vector
 
 EXIT_OK = 0
@@ -188,42 +189,30 @@ def _cmd_color(args, cf, ps):
     return payload, lines, status
 
 
-def _contexts_for_eval(ps):
-    return ps.contexts if ps.contexts else find_maximal_contexts(ps)
-
-
 def _cmd_eval(args, cf, ps):
     state = _parse_state(args.state, cf, ps)
     payload = {"state": [str(e) for e in state.entries],
                "semantics": args.semantics, "contexts": []}
     lines = [f"state: ({', '.join(str(e) for e in state.entries)})"]
-    if args.semantics == "bivalent":
-        report = localize_indefiniteness(state, ps)
-        for ctx in _contexts_for_eval(ps):
-            values = [report.values[m].value for m in ctx.members]
-            definite = all(v != "gap" for v in values)
-            total = sum(int(v) for v in values) if definite else None
-            payload["contexts"].append({
-                "context": ctx.label, "members": list(ctx.members),
-                "values": values,
-                "sum": total if definite else "undefined",
-            })
-            rendered = " ".join(f"{m}={v}" for m, v in zip(ctx.members, values))
-            lines.append(f"context {ctx.label or '?'}: {rendered}  "
-                         f"sum={'undefined' if total is None else total}")
-        payload["gaps"] = list(report.gaps)
-        lines.append("gaps: " + (" ".join(report.gaps) if report.gaps else "none"))
-    else:  # born
-        for ctx in _contexts_for_eval(ps):
+    bivalent = args.semantics == "bivalent"
+    for ctx in ps.contexts or find_maximal_contexts(ps):
+        if bivalent:
+            valuation = evaluate_context(state, ps, ctx)
+            key, shown = "values", [t.value for t in valuation.values]
+            total = "undefined" if valuation.total is None else valuation.total
+        else:
             weights = [born_value(state, ps[m]) for m in ctx.members]
-            total = sum(weights, Fraction(0))
-            payload["contexts"].append({
-                "context": ctx.label, "members": list(ctx.members),
-                "weights": [str(w) for w in weights],
-                "sum": str(total),
-            })
-            rendered = " ".join(f"{m}={w}" for m, w in zip(ctx.members, weights))
-            lines.append(f"context {ctx.label or '?'}: {rendered}  sum={total}")
+            key, shown = "weights", [str(w) for w in weights]
+            total = str(sum(weights, Fraction(0)))
+        payload["contexts"].append({"context": ctx.label,
+                                    "members": list(ctx.members),
+                                    key: shown, "sum": total})
+        rendered = " ".join(f"{m}={v}" for m, v in zip(ctx.members, shown))
+        lines.append(f"context {ctx.label or '?'}: {rendered}  sum={total}")
+    if bivalent:
+        payload["gaps"] = [l for l, p in ps.projectors.items()
+                           if evaluate_bivalent(state, p) is TruthValue.GAP]
+        lines.append("gaps: " + (" ".join(payload["gaps"]) or "none"))
     return payload, lines, EXIT_OK
 
 
@@ -255,6 +244,12 @@ def _cmd_localize(args, cf, ps):
 
 # ---------------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kscontext",
                      description="Exact analysis of projector contexts: "
@@ -273,7 +268,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("color", help="search noncontextual {0,1} assignments")
     add_common(p)
     p.add_argument("--mode", choices=("first", "all", "count"), default="first")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument("--workers", type=_worker_count, default=1, metavar="N")
     p.add_argument("--require-sat", action="store_true",
                    help="exit 3 when no assignment exists")
 

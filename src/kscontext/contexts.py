@@ -10,6 +10,7 @@ assignment quantifies over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, Projector, is_orthogonal
@@ -52,7 +53,11 @@ class ProjectorSet:
     command line needs to load broken files in order to complain about
     them.  Labels must resolve and contexts must have at least two
     members; everything else is checked lazily.
+
+    Immutable: the orthogonality graph and maximal contexts are memoized.
     """
+
+    __slots__ = ("dimension", "projectors", "contexts", "_graph", "_maximal")
 
     def __init__(self, dimension: int,
                  projectors: Mapping[str, Projector],
@@ -60,12 +65,14 @@ class ProjectorSet:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self.projectors: dict[str, Projector] = {}
+        self._graph = self._maximal = None
+        owned: dict[str, Projector] = {}
+        self.projectors: Mapping[str, Projector] = MappingProxyType(owned)
         for label, p in projectors.items():
             if p.dim != dimension:
                 raise ValueError(
                     f"projector {label!r} lives on Q^{p.dim}, expected Q^{dimension}")
-            self.projectors[label] = p if p.label == label else p.relabel(label)
+            owned[label] = p if p.label == label else p.relabel(label)
         normalized = []
         for ctx in contexts:
             if not isinstance(ctx, Context):
@@ -80,6 +87,14 @@ class ProjectorSet:
             report = validate_context(self, ctx.members)
             normalized.append(Context(ctx.members, report.maximal, ctx.label))
         self.contexts: tuple[Context, ...] = tuple(normalized)
+
+    def __setattr__(self, name, value):
+        if not name.startswith("_") and hasattr(self, name):
+            raise AttributeError(f"ProjectorSet.{name} cannot be reassigned")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return ProjectorSet, (self.dimension, dict(self.projectors), self.contexts)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.projectors)
@@ -131,17 +146,13 @@ def validate_context(ps: ProjectorSet, labels: Iterable[str]) -> ContextReport:
         for j in range(i + 1, len(members))
         if not is_orthogonal(projs[i], projs[j])
     )
-    maximal = not bad and _sums_to_identity(ps, members)
+    maximal = not bad and is_maximal(ps, members)
     return ContextReport(members, bad, maximal)
 
 
 def is_maximal(ps: ProjectorSet, ctx: Context | Iterable[str]) -> bool:
     """True iff the members' matrices sum exactly to the identity."""
     members = ctx.members if isinstance(ctx, Context) else tuple(ctx)
-    return _sums_to_identity(ps, members)
-
-
-def _sums_to_identity(ps: ProjectorSet, members: Sequence[str]) -> bool:
     if not members:
         return False
     total = Matrix.zero(ps.dimension)
@@ -150,8 +161,11 @@ def _sums_to_identity(ps: ProjectorSet, members: Sequence[str]) -> bool:
     return total == Matrix.identity(ps.dimension)
 
 
-def orthogonality_graph(ps: ProjectorSet) -> dict[str, frozenset[str]]:
-    """Adjacency of the (undirected) orthogonality relation between labels."""
+def orthogonality_graph(ps: ProjectorSet) -> Mapping[str, frozenset[str]]:
+    """Adjacency of the (undirected) orthogonality relation between labels;
+    computed once per set, read-only."""
+    if ps._graph is not None:
+        return ps._graph
     labels = list(ps.projectors)
     adj: dict[str, set[str]] = {l: set() for l in labels}
     for i, a in enumerate(labels):
@@ -159,7 +173,8 @@ def orthogonality_graph(ps: ProjectorSet) -> dict[str, frozenset[str]]:
             if is_orthogonal(ps[a], ps[b]):
                 adj[a].add(b)
                 adj[b].add(a)
-    return {l: frozenset(s) for l, s in adj.items()}
+    ps._graph = MappingProxyType({l: frozenset(s) for l, s in adj.items()})
+    return ps._graph
 
 
 def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
@@ -170,8 +185,10 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
     members that resolve to the identity.  Output is deterministic:
     members sorted by label, contexts sorted by member tuple.  A clique
     matching a declared context is returned with the declared label and
-    member order.
+    member order.  Computed once per set.
     """
+    if ps._maximal is not None:
+        return ps._maximal
     adj = orthogonality_graph(ps)
     cliques: list[frozenset[str]] = []
 
@@ -190,7 +207,7 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
     declared = {frozenset(c.members): c for c in ps.contexts}
     found = []
     for clique in cliques:
-        if len(clique) < 2 or not _sums_to_identity(ps, tuple(clique)):
+        if len(clique) < 2 or not is_maximal(ps, clique):
             continue
         if clique in declared:
             found.append(declared[clique])
@@ -198,4 +215,5 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
             members = tuple(sorted(clique))
             found.append(Context(members, maximal=True, label=None))
     found.sort(key=lambda c: tuple(sorted(c.members)))
-    return tuple(found)
+    ps._maximal = tuple(found)
+    return ps._maximal

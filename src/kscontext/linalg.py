@@ -504,7 +504,7 @@ def complement(p: Projector) -> Projector:
 
 
 def is_orthogonal(p: Projector, q: Projector) -> bool:
-    """True iff both operator products pq and qp vanish exactly."""
+    """True iff pq vanishes exactly; so does qp = (pq)^T, as both are symmetric."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return (p.matrix @ q.matrix).is_zero() and (q.matrix @ p.matrix).is_zero()
+    return (p.matrix @ q.matrix).is_zero()

@@ -22,7 +22,6 @@ from typing import Literal, Mapping
 
 from .contexts import (Context, ProjectorSet, UnknownLabelError,
                        find_maximal_contexts, orthogonality_graph)
-from .linalg import Matrix
 
 Mode = Literal["first", "all", "count"]
 
@@ -50,10 +49,15 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Violation:
-    """A maximal context whose assigned values do not sum to 1."""
+    """A broken admissibility rule, by `kind`: "context" (a maximal context
+    holding two 1s, or complete with a sum other than 1), "pair" (two
+    orthogonal 1s sharing no maximal context; `context` is the pair) or
+    "forced" (a zero or identity projector with the wrong value; `context`
+    is its one label and `assigned_sum` that value)."""
 
     context: Context
     assigned_sum: int
+    kind: Literal["context", "pair", "forced"] = "context"
 
 
 class InconsistentAssignmentError(ValueError):
@@ -86,27 +90,26 @@ class SearchResult:
 
 def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
                      ) -> list[Violation]:
-    """One Violation per fully-assigned maximal context with sum != 1.
+    """Every rule the assignment breaks, judged as the search judges it.
 
-    Partial assignments are allowed; a context with an unassigned member
-    is undetermined, not violated.
+    A total assignment has no violations exactly when the search counts
+    it admissible.  Partial assignments are allowed; a context with an
+    unassigned member is undetermined unless it already holds two 1s.
     """
-    values = dict(assignment.values if isinstance(assignment, Assignment)
-                  else assignment)
-    unknown = [k for k in values if k not in ps.projectors]
+    values = _checked_values(ps, assignment)
+    net = _build_network(ps)
+    return list(_violations(net, [values.get(l) for l in net.labels]))
+
+
+def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
+                    ) -> dict[str, int]:
+    """The values, once `Assignment` has checked them and every label is known."""
+    if not isinstance(assignment, Assignment):
+        assignment = Assignment(assignment)
+    unknown = [k for k in assignment.values if k not in ps.projectors]
     if unknown:
         raise UnknownLabelError(unknown[0])
-    if any(v not in (0, 1) for v in values.values()):
-        raise ValueError("assignment values must be 0 or 1")
-    violations = []
-    for ctx in find_maximal_contexts(ps):
-        member_values = [values.get(m) for m in ctx.members]
-        if any(v is None for v in member_values):
-            continue
-        total = sum(member_values)
-        if total != 1:
-            violations.append(Violation(ctx, total))
-    return violations
+    return dict(assignment.values)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +118,13 @@ def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int
 
 @dataclass(frozen=True)
 class _Network:
-    """Index-based view of the constraints; plain tuples so it pickles."""
+    """Index-based view of the constraints; plain data so it pickles."""
 
     labels: tuple[str, ...]                 # decision order
+    index: dict[str, int]                   # label -> position in labels
     adjacency: tuple[tuple[int, ...], ...]  # orthogonality, by index
-    contexts: tuple[tuple[int, ...], ...]
-    context_names: tuple[str, ...]
+    maximal: tuple[Context, ...]
+    contexts: tuple[tuple[int, ...], ...]   # members of `maximal`, by index
     contexts_of: tuple[tuple[int, ...], ...]
     forced: tuple[tuple[int, int], ...]     # (var, value) for zero/identity
 
@@ -138,20 +142,15 @@ def _build_network(ps: ProjectorSet) -> _Network:
     index = {l: i for i, l in enumerate(order)}
     adjacency = tuple(tuple(sorted(index[n] for n in graph[l])) for l in order)
     contexts = tuple(tuple(sorted(index[m] for m in ctx.members)) for ctx in maximal)
-    names = tuple(ctx.display_name() for ctx in maximal)
     contexts_of: list[list[int]] = [[] for _ in order]
     for ci, members in enumerate(contexts):
         for m in members:
             contexts_of[m].append(ci)
-    forced = []
-    ident = Matrix.identity(ps.dimension)
-    for l, p in ps.projectors.items():
-        if p.matrix.is_zero():
-            forced.append((index[l], 0))
-        elif p.matrix == ident:
-            forced.append((index[l], 1))
-    return _Network(tuple(order), adjacency, contexts,
-                    names, tuple(tuple(c) for c in contexts_of), tuple(forced))
+    # rank 0 is the zero projector, rank d the identity
+    forced = tuple((index[l], int(p.rank > 0)) for l, p in ps.projectors.items()
+                   if p.rank in (0, ps.dimension))
+    return _Network(tuple(order), index, adjacency, maximal, contexts,
+                    tuple(tuple(c) for c in contexts_of), forced)
 
 
 def _common_context(net: _Network, i: int, j: int) -> int | None:
@@ -159,6 +158,27 @@ def _common_context(net: _Network, i: int, j: int) -> int | None:
         if c in net.contexts_of[j]:
             return c
     return None
+
+
+def _violations(net: _Network, values: list):
+    """The rules `_assign` enforces, on values by index (None: unassigned):
+    forced values, then orthogonal pairs of 1s sharing no maximal context,
+    then maximal contexts.  A pair inside a context is reported as it."""
+    for var, val in net.forced:
+        if values[var] not in (None, val):
+            yield Violation(Context((net.labels[var],), maximal=False),
+                            values[var], "forced")
+    for i, neighbours in enumerate(net.adjacency):
+        for j in neighbours:
+            if i < j and values[i] == values[j] == 1 \
+                    and _common_context(net, i, j) is None:
+                yield Violation(Context((net.labels[i], net.labels[j]),
+                                        maximal=False), 2, "pair")
+    for ctx, members in zip(net.maximal, net.contexts):
+        vals = [values[m] for m in members]
+        ones = vals.count(1)
+        if ones > 1 or (None not in vals and ones != 1):
+            yield Violation(ctx, ones, "context")
 
 
 def _assign(net: _Network, values: list, var: int, val: int, trail: list):
@@ -271,7 +291,7 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
     violated_name = None
     violated_members = None
     if conflict is not None and conflict >= 0:
-        violated_name = net.context_names[conflict]
+        violated_name = net.maximal[conflict].display_name()
         violated_members = tuple(net.labels[i] for i in net.contexts[conflict])
     return SearchResult(
         status="SAT" if count else "UNSAT",
@@ -285,11 +305,7 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
 
 
 def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):
-    index = {l: i for i, l in enumerate(net.labels)}
-    seed = list(net.forced)
-    for label, val in fixed.items():
-        seed.append((index[label], val))
-    return tuple(seed)
+    return net.forced + tuple((net.index[l], v) for l, v in fixed.items())
 
 
 def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
@@ -304,12 +320,7 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    fixed = dict(fixed or {})
-    unknown = [k for k in fixed if k not in ps.projectors]
-    if unknown:
-        raise UnknownLabelError(unknown[0])
-    if any(v not in (0, 1) for v in fixed.values()):
-        raise ValueError("fixed values must be 0 or 1")
+    fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
     seed = _seed_from_fixed(net, fixed)
 
@@ -336,37 +347,24 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
 
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
-    """Reject fixed assignments that already break their own contexts."""
-    index = {l: i for i, l in enumerate(net.labels)}
-    for var, val in net.forced:
-        label = net.labels[var]
-        if fixed.get(label, val) != val:
+    """Raise on the first rule the fixed values already break."""
+    for v in _violations(net, [fixed.get(l) for l in net.labels]):
+        members = v.context.members
+        if v.kind == "forced":
+            val = 1 - v.assigned_sum
             raise InconsistentAssignmentError(
-                f"{label} is the {'identity' if val else 'zero'} projector and "
+                f"{members[0]} is the {'identity' if val else 'zero'} projector and "
                 f"must carry value {val}")
-    ones = [l for l, v in fixed.items() if v == 1]
-    for i, a in enumerate(ones):
-        for b in ones[i + 1:]:
-            if index[b] in net.adjacency[index[a]]:
-                raise InconsistentAssignmentError(
-                    f"orthogonal projectors {a} and {b} both fixed to 1",
-                    context=_blame(net, index[a], index[b]))
-    for ci, members in enumerate(net.contexts):
-        vals = [fixed.get(net.labels[m]) for m in members]
-        if None in vals:
-            continue
-        total = sum(vals)
-        if total != 1:
+        blamed = (tuple(sorted(members, key=net.index.__getitem__))
+                  if v.kind == "context" else None)
+        ones = [l for l in fixed if l in members and fixed[l] == 1]
+        if len(ones) > 1:
             raise InconsistentAssignmentError(
-                f"context {net.context_names[ci]} fixed to sum {total}, expected 1",
-                context=tuple(net.labels[m] for m in members))
-
-
-def _blame(net: _Network, i: int, j: int) -> tuple[str, ...] | None:
-    c = _common_context(net, i, j)
-    if c is None:
-        return None
-    return tuple(net.labels[m] for m in net.contexts[c])
+                f"orthogonal projectors {ones[0]} and {ones[1]} both fixed to 1",
+                context=blamed)
+        raise InconsistentAssignmentError(
+            f"context {v.context.display_name()} fixed to sum {v.assigned_sum}, "
+            f"expected 1", context=blamed)
 
 
 def localized_indefiniteness_certificate(
@@ -378,12 +376,7 @@ def localized_indefiniteness_certificate(
     whose both pins are UNSAT is value indefinite given the fixings.
     An inconsistent `fixed` is reported, not silently repaired.
     """
-    fixed = dict(fixed or {})
-    unknown = [k for k in fixed if k not in ps.projectors]
-    if unknown:
-        raise UnknownLabelError(unknown[0])
-    if any(v not in (0, 1) for v in fixed.values()):
-        raise ValueError("fixed values must be 0 or 1")
+    fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
     _validate_fixed_locally(net, fixed)
 

@@ -57,13 +57,12 @@ class StateVector:
             raise ZeroStateError("state vector must be nonzero")
 
 
-def _as_state(state) -> Vector:
-    if isinstance(state, StateVector):
-        return state.vector
-    v = state if isinstance(state, Vector) else Vector(state)
-    if v.is_zero():
-        raise ZeroStateError("state vector must be nonzero")
-    return v
+def _as_state(state, dim: int) -> Vector:
+    if not isinstance(state, StateVector):
+        state = StateVector(state if isinstance(state, Vector) else Vector(state))
+    if state.vector.dim != dim:
+        raise ValueError(f"dimension mismatch: state {state.vector.dim} vs projector {dim}")
+    return state.vector
 
 
 def evaluate_bivalent(state, p: Projector) -> TruthValue:
@@ -73,9 +72,7 @@ def evaluate_bivalent(state, p: Projector) -> TruthValue:
     is in the kernel (p@v == 0), GAP otherwise.  Never ambiguous: the
     arithmetic is exact.
     """
-    v = _as_state(state)
-    if v.dim != p.dim:
-        raise ValueError(f"dimension mismatch: state {v.dim} vs projector {p.dim}")
+    v = _as_state(state, p.dim)
     image = p.matrix @ v
     if image == v:
         return TruthValue.TRUE
@@ -86,16 +83,19 @@ def evaluate_bivalent(state, p: Projector) -> TruthValue:
 
 @dataclass(frozen=True)
 class ContextValuation:
-    """Per-member truth values of one context, plus the sum summary.
-
-    `total` is the exact sum when every member is definite and None when
-    any member gaps — in that case the sum of values simply does not
-    exist, even though the sum of the projectors still evaluates to true.
-    """
+    """Per-member truth values of one context, plus the sum summary."""
 
     context: Context
     values: tuple[TruthValue, ...]
-    total: int | None
+
+    @property
+    def total(self) -> int | None:
+        """The exact sum when every member is definite, None when any
+        member gaps: then the sum of values simply does not exist, even
+        though the sum of the projectors still evaluates to true."""
+        if all(t.definite() for t in self.values):
+            return sum(t.as_int() for t in self.values)
+        return None
 
     @property
     def definite(self) -> bool:
@@ -108,11 +108,8 @@ def evaluate_context(state, ps: ProjectorSet,
     if not isinstance(ctx, Context):
         members = tuple(ctx)
         ctx = Context(members, maximal=is_maximal(ps, members))
-    values = tuple(evaluate_bivalent(state, ps[m]) for m in ctx.members)
-    total = None
-    if all(t.definite() for t in values):
-        total = sum(t.as_int() for t in values)
-    return ContextValuation(ctx, values, total)
+    return ContextValuation(
+        ctx, tuple(evaluate_bivalent(state, ps[m]) for m in ctx.members))
 
 
 def born_value(state, p: Projector) -> Fraction:
@@ -121,9 +118,7 @@ def born_value(state, p: Projector) -> Fraction:
     Normalization is folded into the ratio, so unnormalized rational
     states are legal and nothing ever leaves Q.
     """
-    v = _as_state(state)
-    if v.dim != p.dim:
-        raise ValueError(f"dimension mismatch: state {v.dim} vs projector {p.dim}")
+    v = _as_state(state, p.dim)
     return v.dot(p.matrix @ v) / v.dot(v)
 
 
@@ -187,7 +182,7 @@ def localize_indefiniteness(state, ps: ProjectorSet) -> IndefinitenessReport:
     explicit membership tests against the range and kernel subspaces, so
     a report can be re-checked without trusting the classifier.
     """
-    v = _as_state(state)
+    v = _as_state(state, ps.dimension)
     values: dict[str, TruthValue] = {}
     evidence: dict[str, MembershipEvidence] = {}
     for label, p in ps.projectors.items():
@@ -201,12 +196,7 @@ def localize_indefiniteness(state, ps: ProjectorSet) -> IndefinitenessReport:
     contexts = []
     narratives = []
     for ctx in find_maximal_contexts(ps):
-        valuation = ContextValuation(
-            ctx,
-            tuple(values[m] for m in ctx.members),
-            None if any(values[m] is TruthValue.GAP for m in ctx.members)
-            else sum(values[m].as_int() for m in ctx.members),
-        )
+        valuation = ContextValuation(ctx, tuple(values[m] for m in ctx.members))
         contexts.append(valuation)
         if not valuation.definite:
             true_count = sum(1 for t in valuation.values if t is TruthValue.TRUE)

@@ -2,6 +2,7 @@
 
 import json
 
+from kscontext import contexts
 from kscontext.cli import main
 
 BAD_PSET = """\
@@ -16,6 +17,14 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def count_orthogonality_tests(monkeypatch):
+    tested = []
+    original = contexts.is_orthogonal
+    monkeypatch.setattr(contexts, "is_orthogonal",
+                        lambda p, q: tested.append((p, q)) or original(p, q))
+    return tested
 
 
 def run_json(capsys, *argv):
@@ -91,6 +100,26 @@ class TestColor:
         assert status == 0
         assert "admissible assignments: 4" in out
 
+    def test_nonpositive_workers_exit_1(self, capsys):
+        for bad in ("0", "-2", "two"):
+            status, out, err = run(capsys, "color", "--builtin",
+                                   "cabello-c1c6", "--workers", bad)
+            assert status == 1
+            assert out == ""
+            assert "usage:" in err and "--workers" in err
+
+    def test_one_orthogonality_test_per_pair(self, capsys, tmp_path,
+                                             monkeypatch):
+        rays = ["0 0 0 1", "0 1 0 0", "1 0 1 0", "1 0 -1 0",
+                "1 -1 -1 1", "1 1 1 1", "1 0 0 -1", "0 1 -1 0"]
+        path = tmp_path / "rays.pset"
+        path.write_text("dim 4\n" + "".join(
+            f"vec r{i} = {ray}\n" for i, ray in enumerate(rays)))
+        tested = count_orthogonality_tests(monkeypatch)
+        status, out, _ = run(capsys, "color", str(path), "--mode", "count")
+        assert status == 0 and "admissible assignments: 12" in out
+        assert len(tested) == len(rays) * (len(rays) - 1) // 2
+
     def test_workers_agree(self, capsys):
         _, payload1 = run_json(capsys, "color", "--builtin", "cabello-c1c6",
                                "--mode", "count")
@@ -101,6 +130,15 @@ class TestColor:
 
 
 class TestEval:
+    def test_eval_builds_no_graph(self, capsys, monkeypatch):
+        # only the declared contexts' own pairs, checked while loading
+        for semantics in ("bivalent", "born"):
+            tested = count_orthogonality_tests(monkeypatch)
+            status, _, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
+                               "--state", "e4", "--semantics", semantics)
+            assert status == 0
+            assert len(tested) == 2 * 6
+
     def test_bivalent_worked_example(self, capsys):
         status, out, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
                              "--state", "0,0,0,1")

@@ -6,7 +6,8 @@ import pytest
 
 from kscontext import (Context, ProjectorSet, UnknownLabelError, builtin,
                        complement, contains, find_maximal_contexts,
-                       is_maximal, projector_from_span, validate_context)
+                       is_maximal, orthogonality_graph, projector_from_span,
+                       validate_context)
 
 from _gen import brute_maximal_contexts, random_ray_corpus
 
@@ -143,6 +144,22 @@ class TestProjectorSetConstruction:
         ps2 = ProjectorSet(4, dict(c1c6.projectors),
                            [("full", ("P1_1", "P1_2", "P1_3", "P1_4"))])
         assert ps2.contexts[0].maximal is True
+
+    def test_set_is_immutable(self, c1c6):
+        with pytest.raises(TypeError):
+            c1c6.projectors["x"] = c1c6["P1_1"]
+        for name in ("dimension", "projectors", "contexts"):
+            with pytest.raises(AttributeError):
+                setattr(c1c6, name, getattr(c1c6, name))
+        graph = orthogonality_graph(c1c6)
+        with pytest.raises(TypeError):
+            graph["P1_1"] = frozenset()
+
+    def test_graph_and_contexts_computed_once(self, c1c6):
+        ps = ProjectorSet(4, dict(c1c6.projectors), c1c6.contexts)
+        assert orthogonality_graph(ps) is orthogonality_graph(ps)
+        assert find_maximal_contexts(ps) is find_maximal_contexts(ps)
+        assert find_maximal_contexts(ps) == find_maximal_contexts(c1c6)
 
     def test_projector_relabeled_to_key(self):
         p = projector_from_span([(0, 0, 0, 1)], "other")

@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kscontext import (BUILTIN_NAMES, Matrix, PsetParseError, Vector,
                        admissible_assignments, builtin, builtin_file, emit,
@@ -209,3 +210,54 @@ class TestBuiltins:
             ps = builtin(name)
             for label, rows in expected.items():
                 assert ps[label].matrix == Matrix(rows), (name, label)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: parse fails closed and round-trips whatever it accepts
+# ---------------------------------------------------------------------------
+
+_WORDS = ["dim", "vec", "span", "context", "state", "=", "#", "0", "1", "-1",
+          "3/2", "1/0", "a", "b", "c", "²", "١", "٣/٢", "1e3", "0x1"]
+_NOISE = st.lists(st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=3)),
+                           max_size=6).map(" ".join),
+                  max_size=6).map("\n".join)
+
+
+@st.composite
+def _pset_files(draw):
+    dim = draw(st.integers(1, 4))
+    rational = st.fractions(-4, 4, max_denominator=5).map(str)
+    labels = draw(st.lists(st.from_regex(r"[A-Za-z0-9_.:-]{1,3}", fullmatch=True),
+                           min_size=1, max_size=5, unique=True))
+    lines = [f"dim {dim}"]
+    for label in labels:
+        lines.append(f"vec {label} = "
+                     + " ".join(draw(st.lists(rational, min_size=dim,
+                                              max_size=dim))))
+    if len(labels) > 2 and draw(st.booleans()):
+        lines.append(f"context C = {labels[0]} {labels[1]}")
+    if draw(st.booleans()):
+        lines.append(f"span S = {labels[-1]}")
+    if draw(st.booleans()):
+        lines.append("state s = " + " ".join(["1"] * dim))
+    if draw(st.booleans()):  # break one line
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(_WORDS)) + lines[i][1:]
+    return "\n".join(lines) + "\n"
+
+
+class TestParseFuzz:
+    def test_only_ascii_digits(self):
+        for text in ("dim ²\n", "dim ١\n", "dim 2\nvec a = ١ 0\n",
+                     "dim 2\nvec a = 1/٢ 0\n"):
+            with pytest.raises(PsetParseError):
+                parse(text)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.text(), _NOISE, _pset_files()))
+    def test_parse_fails_closed_and_round_trips(self, text):
+        try:
+            cf = parse(text)
+        except PsetParseError:
+            return
+        assert parse(emit(cf)) == cf

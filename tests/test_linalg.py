@@ -15,7 +15,7 @@ from kscontext import (Matrix, Projector, Subspace, Vector, column_space,
                        member, null_space, orthocomplement,
                        projector_from_span, rref)
 
-from _gen import random_subspace, random_vector
+from _gen import random_orthogonal_basis, random_subspace, random_vector
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -195,6 +195,29 @@ class TestOrthogonality:
 
     def test_zero_orthogonal_to_all(self):
         assert is_orthogonal(Projector(P6_1), Projector.zero(4))
+
+    def test_one_product_matches_both_products(self):
+        def both_products(p, q):
+            return ((p.matrix @ q.matrix).is_zero()
+                    and (q.matrix @ p.matrix).is_zero())
+
+        rng = Random(5150)
+        outcomes = set()
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            basis = random_orthogonal_basis(rng, d)
+            pool = [Projector.zero(d), Projector.identity(d)]
+            pool += [projector_from_span([v]) for v in basis]
+            pool += [projector_from_span(rng.sample(basis, rng.randint(1, d)))
+                     for _ in range(3)]
+            pool += [projector_from_span([random_vector(rng, d)
+                                          for _ in range(rng.randint(1, d))])
+                     for _ in range(3)]
+            for p in pool:
+                for q in pool:
+                    assert is_orthogonal(p, q) == both_products(p, q)
+                    outcomes.add(is_orthogonal(p, q))
+        assert outcomes == {True, False}
 
 
 class TestProjectorValidation:

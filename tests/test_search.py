@@ -4,6 +4,7 @@ Counts and statuses are cross-checked against naive 2^n enumeration;
 witnesses must round-trip through check_assignment.
 """
 
+import itertools
 from random import Random
 
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        ProjectorSet, UnknownLabelError,
                        admissible_assignments, builtin, check_assignment,
-                       localized_indefiniteness_certificate,
-                       projector_from_span)
+                       localized_indefiniteness_certificate, parse,
+                       projector_from_span, to_projector_set)
 
 from _gen import brute_admissible, random_ray_corpus
 
@@ -217,3 +218,51 @@ class TestLocalizedCertificate:
                         (False, False): PinVerdict.BOTH_CONTRADICT,
                     }[(bool(ones), bool(zeros))]
                     assert verdicts[label] is expected
+
+
+def summary(violations):
+    return [(v.kind, v.context.members, v.assigned_sum) for v in violations]
+
+
+class TestOneAdmissibilityRule:
+    """check_assignment, the search and the --fix check judge alike."""
+
+    def test_check_agrees_with_brute_force_on_every_total_assignment(self):
+        rng = Random(4040)
+        for _ in range(40):
+            ps = random_ray_corpus(rng, rng.randint(2, 4), max_rays=8)
+            _, models = brute_admissible(ps)
+            labels = list(ps.projectors)
+            for bits in itertools.product((0, 1), repeat=len(labels)):
+                ones = frozenset(l for l, b in zip(labels, bits) if b)
+                clean = check_assignment(ps, dict(zip(labels, bits))) == []
+                assert clean == (ones in models), (ps, sorted(ones))
+
+    def test_orthogonal_pair_outside_every_context(self):
+        ps = ProjectorSet(3, {"a": projector_from_span([(1, 0, 0)]),
+                              "b": projector_from_span([(0, 1, 0)])})
+        assert summary(check_assignment(ps, {"a": 1, "b": 1})) == \
+            [("pair", ("a", "b"), 2)]
+        assert admissible_assignments(ps, mode="count").count == 3
+        with pytest.raises(InconsistentAssignmentError,
+                           match="orthogonal projectors a and b") as err:
+            localized_indefiniteness_certificate(ps, {"a": 1, "b": 1})
+        assert err.value.context is None
+
+    def test_identity_span_set_to_zero(self):
+        ps = to_projector_set(parse(
+            "dim 2\nvec x = 1 0\nvec y = 0 1\nspan I = x y\nvec r = 1 1\n"))
+        assert summary(check_assignment(ps, {"I": 0})) == [("forced", ("I",), 0)]
+        assert check_assignment(ps, {"I": 1}) == []
+        with pytest.raises(InconsistentAssignmentError,
+                           match="I is the identity projector"):
+            localized_indefiniteness_certificate(ps, {"I": 0})
+
+    def test_pair_inside_a_context_is_that_context(self, c1c6):
+        assert summary(check_assignment(c1c6, {"P1_1": 1, "P1_2": 1})) == \
+            [("context", ("P1_1", "P1_2", "P1_3", "P1_4"), 2)]
+        with pytest.raises(InconsistentAssignmentError,
+                           match="orthogonal projectors P1_1 and P1_2 both "
+                                 "fixed to 1") as err:
+            localized_indefiniteness_certificate(c1c6, {"P1_1": 1, "P1_2": 1})
+        assert err.value.context == ("P1_1", "P1_2", "P1_3", "P1_4")
