@@ -1,10 +1,12 @@
 """Projector families, context validity, and maximal-context discovery.
 
 A context is a family of two or more mutually orthogonal projectors; it is
-maximal when the members sum to the identity.  Contexts are referenced by
-projector label, never by matrix copy, so a projector shared between two
-contexts keeps a single identity — the structure a noncontextual value
-assignment quantifies over.
+maximal when the members sum to the identity, which for mutually
+orthogonal members means exactly that their ranks add up to the
+dimension.  Contexts are referenced by projector label, never by matrix
+copy, so a projector shared between two contexts keeps a single
+identity — the structure a noncontextual value assignment quantifies
+over.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Projector, is_orthogonal
+from .linalg import Projector, is_orthogonal
 
 
 class UnknownLabelError(KeyError):
@@ -146,19 +148,27 @@ def validate_context(ps: ProjectorSet, labels: Iterable[str]) -> ContextReport:
         for j in range(i + 1, len(members))
         if not is_orthogonal(projs[i], projs[j])
     )
-    maximal = not bad and is_maximal(ps, members)
+    maximal = not bad and _fills_space(ps, members)
     return ContextReport(members, bad, maximal)
 
 
+def _fills_space(ps: ProjectorSet, members: Iterable[str]) -> bool:
+    """For mutually orthogonal members: do they sum to the identity?  Their
+    sum projects onto the direct sum of their ranges, so it is the
+    identity exactly when the ranks add up to the dimension."""
+    return sum(ps[m].rank for m in members) == ps.dimension
+
+
 def is_maximal(ps: ProjectorSet, ctx: Context | Iterable[str]) -> bool:
-    """True iff the members' matrices sum exactly to the identity."""
+    """True iff the members' matrices sum exactly to the identity.
+
+    Decided as: pairwise orthogonal, and the ranks add up to the
+    dimension.  The two agree: if the P_i sum to I, the ranks (traces) sum
+    to d, and P_j = sum_i P_j P_i P_j makes the positive semidefinite
+    P_j P_i P_j = (P_i P_j)^T (P_i P_j) vanish for every i != j.
+    """
     members = ctx.members if isinstance(ctx, Context) else tuple(ctx)
-    if not members:
-        return False
-    total = Matrix.zero(ps.dimension)
-    for m in members:
-        total = total + ps[m].matrix
-    return total == Matrix.identity(ps.dimension)
+    return validate_context(ps, members).maximal
 
 
 def orthogonality_graph(ps: ProjectorSet) -> Mapping[str, frozenset[str]]:
@@ -182,7 +192,8 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
 
     Enumerates inclusion-maximal cliques of the orthogonality graph
     (Bron-Kerbosch with pivoting), then keeps those with at least two
-    members that resolve to the identity.  Output is deterministic:
+    members whose ranks fill the space (the members of a clique are
+    already pairwise orthogonal).  Output is deterministic:
     members sorted by label, contexts sorted by member tuple.  A clique
     matching a declared context is returned with the declared label and
     member order.  Computed once per set.
@@ -207,7 +218,7 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
     declared = {frozenset(c.members): c for c in ps.contexts}
     found = []
     for clique in cliques:
-        if len(clique) < 2 or not is_maximal(ps, clique):
+        if len(clique) < 2 or not _fills_space(ps, clique):
             continue
         if clique in declared:
             found.append(declared[clique])

@@ -3,7 +3,9 @@
 Vectors, matrices, subspaces and projectors all carry `fractions.Fraction`
 entries, so every predicate in this module (equality of subspaces,
 membership of a vector, idempotence of a projector, orthogonality) is
-decided exactly, with zero tolerance.
+decided exactly, with zero tolerance.  A projector's range basis is also
+kept as primitive integer rows, so orthogonality of two projectors comes
+down to integer dot products.
 
 A subspace of Q^d is stored as the reduced row-echelon basis of its
 spanning set.  That form is unique, so two `Subspace` values compare equal
@@ -20,6 +22,8 @@ The lattice operations follow the usual subspace lattice:
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -330,14 +334,31 @@ class Subspace:
         return f"Subspace<rank {self.rank} of Q^{self._ambient}: {rows}>"
 
 
+def _primitive_basis(s: Subspace) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of `s`, each row scaled to coprime integers.
+    Every row leads with a pivot 1, so each scaled row leads with a
+    positive entry and the result is as unique as the basis."""
+    rows = []
+    for v in s.basis:
+        scale = math.lcm(*(e.denominator for e in v))
+        ints = [e.numerator * (scale // e.denominator) for e in v]
+        g = math.gcd(*ints)
+        rows.append(tuple(x // g for x in ints))
+    return tuple(rows)
+
+
 class Projector:
     """Idempotent symmetric rational matrix, optionally labeled.
 
     Over Q idempotence plus symmetry already pin the eigenvalues to
     exactly 0 and 1, so construction only has those two checks.
+
+    Each projector also owns one canonical basis of its range as primitive
+    integer rows (`range_basis`), derived once and shared by relabeled
+    copies; orthogonality and rank are read from it.
     """
 
-    __slots__ = ("_matrix", "_label")
+    __slots__ = ("_matrix", "_label", "_basis")
 
     def __init__(self, matrix: Matrix, label: str | None = None):
         if not matrix.is_square():
@@ -348,6 +369,7 @@ class Projector:
             raise ValueError("projector matrix must be idempotent")
         self._matrix = matrix
         self._label = label
+        self._basis: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def zero(cls, dim: int, label: str | None = None) -> "Projector":
@@ -370,11 +392,16 @@ class Projector:
         return self._matrix.nrows
 
     @property
+    def range_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced row-echelon basis of the range, each row scaled to
+        primitive integers; computed on first use."""
+        if self._basis is None:
+            self._basis = _primitive_basis(column_space(self._matrix))
+        return self._basis
+
+    @property
     def rank(self) -> int:
-        # trace of an idempotent equals its rank, and it is an exact integer
-        t = self._matrix.trace()
-        assert t.denominator == 1
-        return int(t)
+        return len(self.range_basis)
 
     @property
     def range(self) -> Subspace:
@@ -385,7 +412,11 @@ class Projector:
         return null_space(self._matrix)
 
     def relabel(self, label: str | None) -> "Projector":
-        return Projector(self._matrix, label)
+        """The same operator under another label.  The copy shares the
+        already verified matrix and the range basis; nothing is rechecked."""
+        twin = object.__new__(Projector)
+        twin._matrix, twin._label, twin._basis = self._matrix, label, self._basis
+        return twin
 
     def __eq__(self, other) -> bool:
         # labels are metadata; identity of the operator is the matrix
@@ -494,7 +525,9 @@ def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
         nrm = u.dot(u)
         outer = Matrix([[a * b / nrm for b in u.entries] for a in u.entries])
         result = result + outer
-    return Projector(result, label)
+    p = Projector(result, label)
+    p._basis = _primitive_basis(span)
+    return p
 
 
 def complement(p: Projector) -> Projector:
@@ -504,7 +537,13 @@ def complement(p: Projector) -> Projector:
 
 
 def is_orthogonal(p: Projector, q: Projector) -> bool:
-    """True iff pq vanishes exactly; so does qp = (pq)^T, as both are symmetric."""
+    """True iff pq vanishes exactly; so does qp = (pq)^T, as both are symmetric.
+
+    pq = 0 means ran(q) lies in ker(p), which for a symmetric p is the
+    orthocomplement of ran(p); so it is decided by integer dot products
+    between the two range bases, every one of which must be 0.
+    """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return (p.matrix @ q.matrix).is_zero()
+    return not any(sum(map(operator.mul, u, v))
+                   for u in p.range_basis for v in q.range_basis)

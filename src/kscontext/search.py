@@ -7,7 +7,8 @@ their forced values.  `admissible_assignments` decides satisfiability by
 backtracking with unit propagation; UNSAT answers are exhaustive-search
 certificates, never heuristic.
 
-The search may partition its top-level branches across worker processes.
+The search may partition its top-level branches across worker processes,
+at most one per CPU.
 Status, witness, model count and the witness list are identical for any
 worker count; only `nodes_explored` depends on how the tree was split.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Mapping
@@ -308,6 +310,11 @@ def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):
     return net.forced + tuple((net.index[l], v) for l, v in fixed.items())
 
 
+def _pool_size(workers: int) -> int:
+    """The requested worker count, capped at the machine's CPU count."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
                            workers: int = 1,
                            fixed: Mapping[str, int] | None = None) -> SearchResult:
@@ -320,6 +327,7 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = _pool_size(workers)
     fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
     seed = _seed_from_fixed(net, fixed)
@@ -372,25 +380,35 @@ def localized_indefiniteness_certificate(
 ) -> dict[str, PinVerdict]:
     """Classify every unfixed label by pinning it to 1 and to 0.
 
-    Each pin runs a full exhaustive search on top of `fixed`; a label
-    whose both pins are UNSAT is value indefinite given the fixings.
+    A pin is satisfiable when some admissible assignment extends `fixed`
+    and the pin; a label whose both pins are UNSAT is value indefinite
+    given the fixings.  Every witness found shows each of its values
+    satisfiable, so a pin that an earlier witness covers needs no search,
+    and when `fixed` alone is UNSAT so is every pin.
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
     _validate_fixed_locally(net, fixed)
+    witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 
-    def satisfiable(pins: Mapping[str, int]) -> bool:
-        seed = _seed_from_fixed(net, pins)
-        count, first, _, _, _ = _search_task(net, seed, "first")
-        return first is not None or count > 0
+    def find_witness(pins: Mapping[str, int]) -> bool:
+        _, first, _, _, _ = _search_task(net, _seed_from_fixed(net, pins), "first")
+        witnessed.update((first or {}).items())
+        return first is not None
+
+    consistent = find_witness(fixed)
+
+    def satisfiable(label: str, value: int) -> bool:
+        return (label, value) in witnessed or (
+            consistent and find_witness({**fixed, label: value}))
 
     verdicts: dict[str, PinVerdict] = {}
     for label in sorted(ps.projectors):
         if label in fixed:
             continue
-        sat_one = satisfiable({**fixed, label: 1})
-        sat_zero = satisfiable({**fixed, label: 0})
+        sat_one = satisfiable(label, 1)
+        sat_zero = satisfiable(label, 0)
         if sat_one and sat_zero:
             verdicts[label] = PinVerdict.UNCONSTRAINED
         elif sat_one:

@@ -120,6 +120,17 @@ class TestColor:
         assert status == 0 and "admissible assignments: 12" in out
         assert len(tested) == len(rays) * (len(rays) - 1) // 2
 
+    def test_huge_worker_request_echoed(self, capsys, monkeypatch):
+        from kscontext import search
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        status, payload = run_json(capsys, "color", "--builtin", "cabello-c1c6",
+                                   "--mode", "count", "--workers", "1000000000")
+        assert status == 0
+        assert payload["result"]["workers"] == 1000000000
+        _, serial = run_json(capsys, "color", "--builtin", "cabello-c1c6",
+                             "--mode", "count")
+        assert payload["result"]["count"] == serial["result"]["count"]
+
     def test_workers_agree(self, capsys):
         _, payload1 = run_json(capsys, "color", "--builtin", "cabello-c1c6",
                                "--mode", "count")

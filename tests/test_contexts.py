@@ -1,15 +1,20 @@
 """Context validity, maximality, and discovery against a subset-enumeration oracle."""
 
+import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from kscontext import (Context, ProjectorSet, UnknownLabelError, builtin,
-                       complement, contains, find_maximal_contexts,
-                       is_maximal, orthogonality_graph, projector_from_span,
+from kscontext import (Context, Matrix, Projector, ProjectorSet,
+                       UnknownLabelError, builtin, complement, contains,
+                       find_maximal_contexts, is_maximal, orthogonality_graph,
+                       parse, projector_from_span, to_projector_set,
                        validate_context)
+from kscontext.cli import main
 
-from _gen import brute_maximal_contexts, random_ray_corpus
+from _gen import (brute_maximal_contexts, random_orthogonal_basis,
+                  random_ray_corpus, random_vector)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +122,89 @@ class TestFindMaximalContexts:
         a = {frozenset(c.members) for c in find_maximal_contexts(ps)}
         b = {frozenset(c.members) for c in find_maximal_contexts(shuffled)}
         assert a == b
+
+
+class TestIsMaximalOracle:
+    """Rank-sum maximality against the exact Fraction matrix sum."""
+
+    @staticmethod
+    def sums_to_identity(ps, members):
+        total = Matrix.zero(ps.dimension)
+        for m in members:
+            total = total + ps[m].matrix
+        return bool(members) and total == Matrix.identity(ps.dimension)
+
+    def test_agrees_with_matrix_sum_on_seeded_corpora(self):
+        rng = Random(271828)
+        outcomes = set()
+        for _ in range(40):
+            d = rng.randint(1, 5)
+            basis = random_orthogonal_basis(rng, d)
+            pool = {"zero": Projector.zero(d), "one": Projector.identity(d)}
+            for i, v in enumerate(basis):
+                pool[f"b{i}"] = projector_from_span([v])
+            cut = rng.randint(1, d)     # a higher-rank span and its partner
+            pool["lo"] = projector_from_span(basis[:cut])
+            pool["hi"] = complement(pool["lo"])
+            for i in range(3):
+                pool[f"s{i}"] = projector_from_span(
+                    [random_vector(rng, d) for _ in range(rng.randint(1, d))])
+            ps = ProjectorSet(d, pool)
+            labels = list(pool)
+            families = [[f"b{i}" for i in range(d)], ["lo", "hi"],
+                        ["lo", "hi", "zero"], ["one"], ["one", "zero"],
+                        ["one", "one"], ["lo", "lo", "hi"], []]
+            families += [rng.choices(labels, k=rng.randint(1, 5))
+                         for _ in range(30)]
+            for members in families:
+                want = self.sums_to_identity(ps, members)
+                assert is_maximal(ps, members) is want
+                outcomes.add((want, len(set(members)) < len(members)))
+        assert outcomes == {(True, False), (False, False), (True, True),
+                            (False, True)}
+
+
+def e8_rays() -> list[tuple[Fraction, ...]]:
+    """The 240 E8 roots taken up to sign: the first nonzero entry positive."""
+    half = Fraction(1, 2)
+    roots = []
+    for i, j in itertools.combinations(range(8), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            root = [Fraction(0)] * 8
+            root[i], root[j] = Fraction(si), Fraction(sj)
+            roots.append(tuple(root))
+    for signs in itertools.product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            roots.append(tuple(s * half for s in signs))
+    assert len(roots) == 240
+    return [r for r in roots if next(x for x in r if x) > 0]
+
+
+class TestE8Scale:
+    """The 120 E8 rays of Kernaghan and Peres (Phys. Lett. A 198 (1995) 1)."""
+
+    def test_graph_contexts_and_unsat(self, tmp_path, capsys):
+        rays = e8_rays()
+        assert len(rays) == 120
+        text = "dim 8\n" + "".join(
+            f"vec e{i:03d} = {' '.join(map(str, r))}\n" for i, r in enumerate(rays))
+        ps = to_projector_set(parse(text))
+        graph = orthogonality_graph(ps)
+        # the generating rays, doubled to integers, give the oracle
+        ints = [tuple(int(2 * x) for x in r) for r in rays]
+        labels = list(ps.projectors)
+        for (a, u), (b, v) in itertools.combinations(zip(labels, ints), 2):
+            assert (b in graph[a]) == (sum(x * y for x, y in zip(u, v)) == 0)
+        assert sum(map(len, graph.values())) // 2 == 3780
+        contexts = find_maximal_contexts(ps)
+        assert len(contexts) == 2025
+        assert all(len(c.members) == 8 for c in contexts)
+
+        path = tmp_path / "e8.pset"
+        path.write_text(text)
+        assert main(["color", str(path), "--mode", "first",
+                     "--require-sat"]) == 3
+        assert "status: UNSAT" in capsys.readouterr().out
 
 
 class TestProjectorSetConstruction:

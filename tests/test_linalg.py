@@ -5,6 +5,7 @@ hand Gaussian elimination and are frozen here; the randomized loops check
 the subspace lattice laws on small dimensions.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -218,6 +219,59 @@ class TestOrthogonality:
                     assert is_orthogonal(p, q) == both_products(p, q)
                     outcomes.add(is_orthogonal(p, q))
         assert outcomes == {True, False}
+
+
+class TestRangeBasis:
+    """The cached range basis behind `is_orthogonal` and `rank`."""
+
+    def test_primitive_integer_rows_spanning_the_range(self):
+        rng = Random(31337)
+        seen_lazy = seen_seeded = 0
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            spanned = projector_from_span([random_vector(rng, d)
+                                           for _ in range(rng.randint(1, d))])
+            pool = [spanned, complement(spanned), Projector(spanned.matrix),
+                    Projector.zero(d), Projector.identity(d)]
+            for p in pool:
+                seen_seeded += p._basis is not None
+                seen_lazy += p._basis is None
+                basis = p.range_basis
+                assert len(basis) == p.rank
+                for row in basis:
+                    assert all(type(x) is int for x in row)
+                    assert math.gcd(*row) == 1
+                    assert next(x for x in row if x) > 0
+                assert Subspace.from_span(basis, dim_ambient=d) == p.range
+                assert p.range_basis is basis
+        assert seen_lazy and seen_seeded
+
+    def test_span_seeds_the_basis_of_the_worked_rays(self):
+        assert projector_from_span([(0, 0, 0, H)])._basis == ((0, 0, 0, 1),)
+        assert projector_from_span([(-H, Q, 0, Q)])._basis == ((2, -1, 0, -1),)
+        assert projector_from_span([(1, 1, 0, 0), (1, 2, 0, 0)])._basis == \
+            ((1, 0, 0, 0), (0, 1, 0, 0))
+        assert Projector(P6_1).range_basis == ((1, -1, -1, 1),)
+
+    def test_rank_is_the_trace(self):
+        for m in (P1_1, P1_3, P6_1, Matrix.identity(4), Matrix.zero(4)):
+            assert Projector(m).rank == m.trace()
+
+    def test_relabel_shares_the_verified_operator(self, monkeypatch):
+        p = projector_from_span([(1, 0, 1, 0)], "a")
+        lazy = Projector(P6_2, "b")
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("relabel rebuilt the projector")
+
+        monkeypatch.setattr(Projector, "__init__", rebuilt)
+        for original in (p, lazy):
+            q = original.relabel("c")
+            assert q.label == "c" and original.label != "c"
+            assert q.matrix is original.matrix
+            assert q == original
+            assert q._basis is original._basis
+        assert p.relabel("c").range_basis is p.range_basis
 
 
 class TestProjectorValidation:

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from kscontext import search
 from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        ProjectorSet, UnknownLabelError,
                        admissible_assignments, builtin, check_assignment,
@@ -162,6 +163,23 @@ class TestWorkers:
         with pytest.raises(ValueError):
             admissible_assignments(c1c6, workers=0)
 
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        assert [search._pool_size(w) for w in (1, 2, 3, 4, 10 ** 9)] == \
+            [1, 2, 3, 3, 3]
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._pool_size(10 ** 9) == 1
+
+    def test_huge_request_is_capped_before_splitting(self, c1c6, monkeypatch):
+        # on one CPU the capped request is serial: no prefixes, no pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        huge = admissible_assignments(c1c6, mode="count", workers=10 ** 9)
+        assert huge == admissible_assignments(c1c6, mode="count")
+
 
 class TestLocalizedCertificate:
     def test_single_context_pin_forces_partners(self):
@@ -218,6 +236,56 @@ class TestLocalizedCertificate:
                         (False, False): PinVerdict.BOTH_CONTRADICT,
                     }[(bool(ones), bool(zeros))]
                     assert verdicts[label] is expected
+
+
+def plain_certificate(ps, fixed):
+    """Two independent searches per unfixed label, no reuse."""
+    kinds = {(True, True): PinVerdict.UNCONSTRAINED,
+             (True, False): PinVerdict.FORCED_ONE,
+             (False, True): PinVerdict.FORCED_ZERO,
+             (False, False): PinVerdict.BOTH_CONTRADICT}
+    return {label: kinds[tuple(
+                admissible_assignments(ps, fixed={**fixed, label: v}).status
+                == "SAT" for v in (1, 0))]
+            for label in sorted(ps.projectors) if label not in fixed}
+
+
+class TestWitnessReuse:
+    def cases(self):
+        for name in ("cabello-c1c6", "cabello-18"):
+            for fixed in ({}, {"P1_1": 1}, {"P1_1": 0}, {"P6_2": 1, "P1_3": 1}):
+                yield builtin(name), fixed
+        rng = Random(8086)
+        for _ in range(25):
+            ps = random_ray_corpus(rng, rng.randint(2, 4), max_rays=9)
+            first = sorted(ps.projectors)[0]
+            for fixed in ({}, {first: 1}, {first: 0}):
+                yield ps, fixed
+
+    def test_same_verdicts_in_the_same_order_as_plain_search(self):
+        checked = 0
+        for ps, fixed in self.cases():
+            try:
+                verdicts = localized_indefiniteness_certificate(ps, fixed)
+            except InconsistentAssignmentError:
+                continue
+            assert list(verdicts.items()) == \
+                list(plain_certificate(ps, fixed).items())
+            checked += 1
+        assert checked > 60
+
+    def test_fewer_searches(self, c1c6, cabello18, monkeypatch):
+        calls = []
+        original = search._search_task
+        monkeypatch.setattr(search, "_search_task",
+                            lambda *a: calls.append(a) or original(*a))
+        verdicts = localized_indefiniteness_certificate(c1c6)
+        assert set(verdicts.values()) == {PinVerdict.UNCONSTRAINED}
+        assert 1 < len(calls) < 2 * len(verdicts)
+        calls.clear()
+        # an UNSAT corpus needs its one search without pins
+        localized_indefiniteness_certificate(cabello18, {"P1_1": 1})
+        assert len(calls) == 1
 
 
 def summary(violations):
