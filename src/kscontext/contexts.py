@@ -56,10 +56,12 @@ class ProjectorSet:
     them.  Labels must resolve and contexts must have at least two
     members; everything else is checked lazily.
 
-    Immutable: the orthogonality graph and maximal contexts are memoized.
+    Immutable: the orthogonality graph and maximal contexts are memoized,
+    and each declared context's `ContextReport` is kept from loading.
     """
 
-    __slots__ = ("dimension", "projectors", "contexts", "_graph", "_maximal")
+    __slots__ = ("dimension", "projectors", "contexts", "_reports", "_graph",
+                 "_maximal")
 
     def __init__(self, dimension: int,
                  projectors: Mapping[str, Projector],
@@ -75,6 +77,8 @@ class ProjectorSet:
                 raise ValueError(
                     f"projector {label!r} lives on Q^{p.dim}, expected Q^{dimension}")
             owned[label] = p if p.label == label else p.relabel(label)
+        reports: dict[tuple[str, ...], ContextReport] = {}
+        self._reports = MappingProxyType(reports)   # members -> report
         normalized = []
         for ctx in contexts:
             if not isinstance(ctx, Context):
@@ -86,7 +90,7 @@ class ProjectorSet:
             if len(ctx.members) < 2:
                 raise ValueError(
                     f"context {ctx.display_name()} needs at least two members")
-            report = validate_context(self, ctx.members)
+            report = reports[ctx.members] = validate_context(self, ctx.members)
             normalized.append(Context(ctx.members, report.maximal, ctx.label))
         self.contexts: tuple[Context, ...] = tuple(normalized)
 
@@ -139,8 +143,11 @@ def validate_context(ps: ProjectorSet, labels: Iterable[str]) -> ContextReport:
 
     An empty pair list means the family is a valid context; `maximal` is
     claimed only for valid families whose members sum to the identity.
+    A declared context's report is the one made when the set was loaded.
     """
     members = tuple(labels)
+    if members in ps._reports:
+        return ps._reports[members]
     projs = [ps[m] for m in members]
     bad = tuple(
         (members[i], members[j])

@@ -4,11 +4,13 @@ An assignment is admissible when every maximal context hiding in the set
 sums to exactly 1, any two orthogonal projectors carry at most one 1
 (the sub-maximal exclusivity rule), and zero/identity projectors carry
 their forced values.  `admissible_assignments` decides satisfiability by
-backtracking with unit propagation; UNSAT answers are exhaustive-search
+backtracking with unit propagation on an explicit stack, so no recursion
+limit bounds the number of variables; UNSAT answers are exhaustive-search
 certificates, never heuristic.
 
 The search may partition its top-level branches across worker processes,
-at most one per CPU.
+at most one per CPU; where no pool can start it searches the same
+branches serially and issues a RuntimeWarning.
 Status, witness, model count and the witness list are identical for any
 worker count; only `nodes_explored` depends on how the tree was split.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Mapping
@@ -124,7 +127,9 @@ class _Network:
 
     labels: tuple[str, ...]                 # decision order
     index: dict[str, int]                   # label -> position in labels
-    adjacency: tuple[tuple[int, ...], ...]  # orthogonality, by index
+    # per var, its orthogonal neighbours in index order, each with the
+    # first maximal context the two share (None: no shared context)
+    pairs: tuple[tuple[tuple[int, int | None], ...], ...]
     maximal: tuple[Context, ...]
     contexts: tuple[tuple[int, ...], ...]   # members of `maximal`, by index
     contexts_of: tuple[tuple[int, ...], ...]
@@ -142,24 +147,24 @@ def _build_network(ps: ProjectorSet) -> _Network:
     # order-independent and tested as such
     order = sorted(ps.projectors, key=lambda l: (-degree[l], l))
     index = {l: i for i, l in enumerate(order)}
-    adjacency = tuple(tuple(sorted(index[n] for n in graph[l])) for l in order)
     contexts = tuple(tuple(sorted(index[m] for m in ctx.members)) for ctx in maximal)
     contexts_of: list[list[int]] = [[] for _ in order]
     for ci, members in enumerate(contexts):
         for m in members:
             contexts_of[m].append(ci)
+    pairs = []
+    for l, in_contexts in zip(order, contexts_of):
+        first_shared: dict[int, int] = {}   # co-member -> first context
+        for c in in_contexts:
+            for m in contexts[c]:
+                first_shared.setdefault(m, c)
+        pairs.append(tuple((j, first_shared.get(j))
+                           for j in sorted(index[n] for n in graph[l])))
     # rank 0 is the zero projector, rank d the identity
     forced = tuple((index[l], int(p.rank > 0)) for l, p in ps.projectors.items()
                    if p.rank in (0, ps.dimension))
-    return _Network(tuple(order), index, adjacency, maximal, contexts,
+    return _Network(tuple(order), index, tuple(pairs), maximal, contexts,
                     tuple(tuple(c) for c in contexts_of), forced)
-
-
-def _common_context(net: _Network, i: int, j: int) -> int | None:
-    for c in net.contexts_of[i]:
-        if c in net.contexts_of[j]:
-            return c
-    return None
 
 
 def _violations(net: _Network, values: list):
@@ -170,10 +175,9 @@ def _violations(net: _Network, values: list):
         if values[var] not in (None, val):
             yield Violation(Context((net.labels[var],), maximal=False),
                             values[var], "forced")
-    for i, neighbours in enumerate(net.adjacency):
-        for j in neighbours:
-            if i < j and values[i] == values[j] == 1 \
-                    and _common_context(net, i, j) is None:
+    for i, neighbours in enumerate(net.pairs):
+        for j, shared in neighbours:
+            if i < j and values[i] == values[j] == 1 and shared is None:
                 yield Violation(Context((net.labels[i], net.labels[j]),
                                         maximal=False), 2, "pair")
     for ctx, members in zip(net.maximal, net.contexts):
@@ -186,6 +190,7 @@ def _violations(net: _Network, values: list):
 def _assign(net: _Network, values: list, var: int, val: int, trail: list):
     """Assign and propagate; returns a conflicting context index, -1 for a
     conflict with no single context to blame, or None on success."""
+    pairs, contexts, contexts_of = net.pairs, net.contexts, net.contexts_of
     stack = [(var, val, None)]
     while stack:
         i, v, why = stack.pop()
@@ -197,26 +202,26 @@ def _assign(net: _Network, values: list, var: int, val: int, trail: list):
         values[i] = v
         trail.append(i)
         if v == 1:
-            for j in net.adjacency[i]:
+            for j, shared in pairs[i]:
                 w = values[j]
                 if w is None:
-                    stack.append((j, 0, _common_context(net, i, j)))
+                    stack.append((j, 0, shared))
                 elif w == 1:
-                    c = _common_context(net, i, j)
-                    return c if c is not None else -1
-        for c in net.contexts_of[i]:
-            ones = 0
-            unassigned = []
-            for m in net.contexts[c]:
+                    return shared if shared is not None else -1
+        for c in contexts_of[i]:
+            ones = free = 0
+            last_free = None
+            for m in contexts[c]:
                 x = values[m]
                 if x is None:
-                    unassigned.append(m)
+                    free += 1
+                    last_free = m
                 elif x == 1:
                     ones += 1
-            if ones > 1 or (not unassigned and ones != 1):
+            if ones > 1 or (not free and ones != 1):
                 return c
-            if ones == 0 and len(unassigned) == 1:
-                stack.append((unassigned[0], 1, c))
+            if ones == 0 and free == 1:
+                stack.append((last_free, 1, c))
     return None
 
 
@@ -234,28 +239,50 @@ class _Acc:
 def _record_solution(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
     acc.count += 1
     if acc.first is None:
-        acc.first = {net.labels[i]: values[i] for i in range(len(values))}
+        acc.first = dict(zip(net.labels, values))
     if mode == "all":
-        acc.solutions.append({net.labels[i]: values[i] for i in range(len(values))})
+        acc.solutions.append(dict(zip(net.labels, values)))
     return mode == "first"
 
 
 def _dfs(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
-    var = next((i for i, v in enumerate(values) if v is None), None)
-    if var is None:
-        return _record_solution(net, values, mode, acc)
-    for val in (1, 0):
-        acc.nodes += 1
-        trail: list[int] = []
-        conflict = _assign(net, values, var, val, trail)
-        if conflict is None:
-            if _dfs(net, values, mode, acc):
-                return True
-        else:
+    """Depth-first over the lowest unassigned variable, value 1 before 0;
+    True once `first` mode has its witness.
+
+    Iterative: each frame is [var, next value to try, trail of the value
+    being tried].  The decision variable is always the lowest unassigned
+    index, so every index below a live frame's var stays assigned and
+    the next one is searched for from var + 1.
+    """
+    n = len(values)
+    stack: list[list] = []
+    var = 0                      # every index below var is assigned
+    while True:
+        while var < n and values[var] is not None:
+            var += 1
+        if var < n:
+            stack.append([var, 1, ()])
+        elif _record_solution(net, values, mode, acc):
+            return True
+        # the next value of the deepest frame that has one left
+        while stack:
+            frame = stack[-1]
+            var, val, trail = frame
+            for i in trail:
+                values[i] = None
+            if val < 0:
+                stack.pop()
+                continue
+            acc.nodes += 1
+            frame[1] = val - 1
+            frame[2] = trail = []
+            conflict = _assign(net, values, var, val, trail)
+            if conflict is None:
+                break
             acc.last_conflict = conflict
-        for i in trail:
-            values[i] = None
-    return False
+        else:
+            return False
+        var += 1                 # var itself is now assigned
 
 
 def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
@@ -347,9 +374,12 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_search_task, itertools.repeat(net),
                                   prefixes, itertools.repeat(mode)))
-    except (OSError, PermissionError):
+    except (OSError, PermissionError) as err:
         # sandboxed environments may forbid subprocesses; same partition,
         # same merge, identical results
+        warnings.warn(f"worker pool unavailable ({err!r}); searching the "
+                      f"{len(prefixes)} prefixes serially", RuntimeWarning,
+                      stacklevel=2)
         parts = [_search_task(net, prefix, mode) for prefix in prefixes]
     return _merge(net, parts, mode)
 

@@ -2,18 +2,21 @@
 
 The oracles deliberately avoid the library's search and clique code:
 maximal contexts come from subset enumeration, admissibility counts from
-full 2^n enumeration over bitmasks.  They exist so the fast paths have
-something slower and dumber to agree with.
+full 2^n enumeration over bitmasks, and the search tree from a recursive
+copy of the kernel that takes orthogonality from the set's graph and
+shared contexts from the network's context lists, pair by pair.  They
+exist so the fast paths have something slower and dumber to agree with.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 from kscontext import (Matrix, ProjectorSet, Subspace, Vector,
-                       projector_from_span)
+                       orthogonality_graph, projector_from_span)
 
 
 def random_fraction(rng: Random, span: int = 3, max_den: int = 3) -> Fraction:
@@ -182,3 +185,106 @@ def brute_admissible(ps: ProjectorSet):
             continue
         models.append(frozenset(l for l in labels if bits >> index[l] & 1))
     return len(models), set(models)
+
+
+def oracle_adjacency(ps: ProjectorSet, net) -> list[list[int]]:
+    """Orthogonal neighbours of each network variable, in index order."""
+    graph = orthogonality_graph(ps)
+    return [sorted(net.index[n] for n in graph[l]) for l in net.labels]
+
+
+def first_shared_context(net, i: int, j: int) -> int | None:
+    """The lowest-numbered maximal context holding both variables."""
+    for c in net.contexts_of[i]:
+        if c in net.contexts_of[j]:
+            return c
+    return None
+
+
+def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
+    """The search kernel as plain recursion, for `search._search_task` to
+    agree with: same return value, same tree, same node count.
+
+    Depth-first over the lowest unassigned variable, value 1 before 0,
+    with unit propagation that looks up orthogonal neighbours in the
+    set's graph and the context two of them share pair by pair.  Recurses
+    once per decision level, so it suits small networks only.
+    """
+    adjacency = oracle_adjacency(ps, net)
+    common_context = functools.partial(first_shared_context, net)
+
+    def assign(values, var, val, trail):
+        stack = [(var, val, None)]
+        while stack:
+            i, v, why = stack.pop()
+            cur = values[i]
+            if cur is not None:
+                if cur != v:
+                    return why if why is not None else -1
+                continue
+            values[i] = v
+            trail.append(i)
+            if v == 1:
+                for j in adjacency[i]:
+                    w = values[j]
+                    if w is None:
+                        stack.append((j, 0, common_context(i, j)))
+                    elif w == 1:
+                        c = common_context(i, j)
+                        return c if c is not None else -1
+            for c in net.contexts_of[i]:
+                ones = 0
+                unassigned = []
+                for m in net.contexts[c]:
+                    x = values[m]
+                    if x is None:
+                        unassigned.append(m)
+                    elif x == 1:
+                        ones += 1
+                if ones > 1 or (not unassigned and ones != 1):
+                    return c
+                if ones == 0 and len(unassigned) == 1:
+                    stack.append((unassigned[0], 1, c))
+        return None
+
+    acc = {"nodes": 0, "count": 0, "first": None, "solutions": [],
+           "last_conflict": None}
+
+    def record_solution(values):
+        acc["count"] += 1
+        if acc["first"] is None:
+            acc["first"] = {net.labels[i]: values[i] for i in range(len(values))}
+        if mode == "all":
+            acc["solutions"].append(
+                {net.labels[i]: values[i] for i in range(len(values))})
+        return mode == "first"
+
+    def dfs(values):
+        var = next((i for i, v in enumerate(values) if v is None), None)
+        if var is None:
+            return record_solution(values)
+        for val in (1, 0):
+            acc["nodes"] += 1
+            trail = []
+            conflict = assign(values, var, val, trail)
+            if conflict is None:
+                if dfs(values):
+                    return True
+            else:
+                acc["last_conflict"] = conflict
+            for i in trail:
+                values[i] = None
+        return False
+
+    values = [None] * len(net.labels)
+    acc["nodes"] += 1
+    conflict = None
+    for var, val in seed:
+        conflict = assign(values, var, val, [])
+        if conflict is not None:
+            acc["last_conflict"] = conflict
+            break
+    if conflict is None:
+        dfs(values)
+    return (acc["count"], acc["first"], acc["solutions"], acc["nodes"],
+            acc["last_conflict"])

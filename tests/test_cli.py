@@ -46,6 +46,13 @@ class TestValidate:
         assert "declared contexts valid: 9/9" in out
         assert "maximal contexts discovered: 9" in out
 
+    def test_declared_contexts_checked_once(self, capsys, monkeypatch):
+        # each declared pair while loading, then each pair once for the graph
+        tested = count_orthogonality_tests(monkeypatch)
+        status, _, _ = run(capsys, "validate", "--builtin", "cabello-18")
+        assert status == 0
+        assert len(tested) == 9 * 6 + 18 * 17 // 2
+
     def test_invalid_context_exits_2_and_names_pair(self, capsys, tmp_path):
         bad = tmp_path / "bad.pset"
         bad.write_text(BAD_PSET)

@@ -5,6 +5,7 @@ witnesses must round-trip through check_assignment.
 """
 
 import itertools
+import sys
 from random import Random
 
 import pytest
@@ -16,7 +17,8 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        localized_indefiniteness_certificate, parse,
                        projector_from_span, to_projector_set)
 
-from _gen import brute_admissible, random_ray_corpus
+from _gen import (brute_admissible, first_shared_context, oracle_adjacency,
+                  random_ray_corpus, recursive_search_task)
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +336,149 @@ class TestOneAdmissibilityRule:
                                  "fixed to 1") as err:
             localized_indefiniteness_certificate(c1c6, {"P1_1": 1, "P1_2": 1})
         assert err.value.context == ("P1_1", "P1_2", "P1_3", "P1_4")
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: runs every task in this process
+    and records the prefixes it was handed."""
+
+    prefixes: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        SerialPool.prefixes = [seed for _, seed, _ in tasks]
+        return [fn(*task) for task in tasks]
+
+
+def peres24():
+    """Peres' 24 rays in Q^4: (1,0,0,0), (1,1,0,0) and (1,1,1,1) under
+    coordinate permutations and sign changes, up to sign.  36 of its
+    orthogonal pairs lie in two of its 24 maximal contexts."""
+    rays = set()
+    for base in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        for perm in itertools.permutations(base):
+            for signs in itertools.product((1, -1), repeat=4):
+                ray = tuple(s * x for s, x in zip(signs, perm))
+                lead = next(x for x in ray if x)
+                rays.add(tuple(lead * x for x in ray))
+    return ProjectorSet(4, {f"p{i:02d}": projector_from_span([r])
+                            for i, r in enumerate(sorted(rays))})
+
+
+def oracle_cases():
+    for name in ("cabello-c1c6", "cabello-18"):
+        ps = builtin(name)
+        for fixed in ({}, {"P1_1": 1}, {"P1_1": 0}, {"P6_2": 1, "P1_3": 1},
+                      {"P1_1": 1, "P1_2": 1}):
+            yield ps, fixed
+    ps = peres24()
+    for fixed in ({}, {"p00": 1}, {"p23": 0}):
+        yield ps, fixed
+    rng = Random(5150)
+    for _ in range(30):
+        ps = random_ray_corpus(rng, rng.randint(2, 4), max_rays=10)
+        labels = sorted(ps.projectors)
+        for fixed in ({}, {labels[0]: 1}, {labels[-1]: 0},
+                      {labels[0]: 1, labels[-1]: 1}):
+            yield ps, fixed
+
+
+def assert_same_result(got, want):
+    for field in ("status", "witness", "count", "witnesses", "nodes_explored",
+                  "violated_context", "violated_members"):
+        assert getattr(got, field) == getattr(want, field), field
+    if got.witnesses is not None:
+        assert [list(w.values.items()) for w in got.witnesses] == \
+            [list(w.values.items()) for w in want.witnesses]
+
+
+class TestKernelAgainstRecursiveOracle:
+    """The iterative kernel walks the recursive kernel's tree."""
+
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_same_result_field_by_field(self, mode):
+        checked = 0
+        for ps, fixed in oracle_cases():
+            net = search._build_network(ps)
+            seed = search._seed_from_fixed(net, fixed)
+            got = search._merge(net, [search._search_task(net, seed, mode)], mode)
+            want = search._merge(
+                net, [recursive_search_task(ps, net, seed, mode)], mode)
+            assert_same_result(got, want)
+            assert_same_result(
+                admissible_assignments(ps, mode=mode, fixed=fixed), want)
+            checked += 1
+        assert checked == 133
+
+    def test_pair_contexts_are_the_first_shared_context(self):
+        for ps, fixed in oracle_cases():
+            if fixed:
+                continue
+            net = search._build_network(ps)
+            assert net.pairs == tuple(
+                tuple((j, first_shared_context(net, i, j)) for j in neighbours)
+                for i, neighbours in enumerate(oracle_adjacency(ps, net)))
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_same_result_on_every_split_prefix(self, workers, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        for ps, fixed in itertools.islice(oracle_cases(), 0, None, 4):
+            net = search._build_network(ps)
+            for mode in ("first", "all", "count"):
+                SerialPool.prefixes = []
+                split = admissible_assignments(ps, mode=mode, workers=workers,
+                                               fixed=fixed)
+                if len(net.labels) <= len(fixed):
+                    continue
+                assert len(SerialPool.prefixes) > 1
+                parts = [recursive_search_task(ps, net, prefix, mode)
+                         for prefix in SerialPool.prefixes]
+                for prefix, part in zip(SerialPool.prefixes, parts):
+                    assert search._search_task(net, prefix, mode) == part
+                assert_same_result(split, search._merge(net, parts, mode))
+
+    def test_thousands_of_free_variables_need_no_recursion(self):
+        # pairwise non-orthogonal rays: (1, a) . (1, b) = 1 + ab > 0, so
+        # no constraint binds and every level decides one variable
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        ps = ProjectorSet(2, {f"r{k}": projector_from_span([(1, k)])
+                              for k in range(1, n + 1)})
+        result = admissible_assignments(ps, mode="first")
+        assert result.status == "SAT"
+        assert result.nodes_explored == n + 1
+        assert set(result.witness.values.values()) == {1}
+
+
+class TestPoolFallback:
+    def test_fallback_warns_and_matches_the_pool(self, c1c6, cabello18,
+                                                  monkeypatch):
+        def no_processes(max_workers):
+            raise PermissionError("process creation is not permitted")
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        for ps in (c1c6, cabello18):
+            for mode in ("first", "all", "count"):
+                monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+                pooled = admissible_assignments(ps, mode=mode, workers=4)
+                monkeypatch.setattr(search, "ProcessPoolExecutor", no_processes)
+                with pytest.warns(RuntimeWarning,
+                                  match="worker pool unavailable.*"
+                                        "process creation is not permitted"):
+                    fallback = admissible_assignments(ps, mode=mode, workers=4)
+                assert fallback == pooled
+                serial = admissible_assignments(ps, mode=mode)
+                assert (fallback.status, fallback.witness, fallback.count,
+                        fallback.witnesses) == \
+                    (serial.status, serial.witness, serial.count,
+                     serial.witnesses)
