@@ -90,9 +90,11 @@ def _parse_state(arg: str, cf, ps) -> Vector:
         raise _CliError(f"--state {arg!r} is neither a declared state label "
                         f"nor an inline vector like 0,0,0,1")
     try:
-        entries = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError):
-        raise _CliError(f"bad rational in --state {arg!r}")
+        # the PSET grammar: -?[0-9]+(/[0-9]+)?, ASCII only, bounded digits
+        entries = [corpus._parse_rational(p, 1, i + 1)
+                   for i, p in enumerate(parts)]
+    except corpus.PsetParseError:
+        raise _CliError(f"bad rational in --state {arg!r}") from None
     if len(entries) != ps.dimension:
         raise _CliError(f"--state has {len(entries)} entries, corpus "
                         f"dimension is {ps.dimension}")

@@ -194,6 +194,31 @@ def orthogonality_graph(ps: ProjectorSet) -> Mapping[str, frozenset[str]]:
     return ps._graph
 
 
+def _pivot(adj: Mapping[str, frozenset[str]], candidates: set[str],
+           excluded: set[str]) -> str:
+    """The first vertex in label order among candidates and excluded with
+    the most neighbours among the candidates.
+
+    No vertex is its own neighbour, so a candidate has at most
+    len(candidates) - 1 of them and an excluded vertex at most
+    len(candidates); the scan stops once no later vertex can score more
+    than the best so far, which keeps a long chain of nested cliques
+    quadratic rather than cubic.
+    """
+    order = sorted(candidates | excluded)
+    last_excluded = max((i for i, v in enumerate(order) if v in excluded),
+                        default=-1)
+    top = len(candidates)
+    best, best_score = order[0], -1
+    for i, v in enumerate(order):
+        score = len(adj[v] & candidates)
+        if score > best_score:
+            best, best_score = v, score
+        if best_score >= (top if i < last_excluded else top - 1):
+            break
+    return best
+
+
 def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
     """All maximal contexts hiding in the set.
 
@@ -209,18 +234,30 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
         return ps._maximal
     adj = orthogonality_graph(ps)
     cliques: list[frozenset[str]] = []
+    # one frame per open call: (clique, candidates, excluded, branches left);
+    # a clique as deep as the set needs no Python recursion
+    stack: list[tuple] = []
 
-    def extend(clique: set[str], candidates: set[str], excluded: set[str]):
+    def enter(clique: frozenset[str], candidates: set[str], excluded: set[str]):
         if not candidates and not excluded:
-            cliques.append(frozenset(clique))
+            cliques.append(clique)
             return
-        pivot = max(sorted(candidates | excluded), key=lambda v: len(adj[v] & candidates))
-        for v in sorted(candidates - adj[pivot]):
-            extend(clique | {v}, candidates & adj[v], excluded & adj[v])
-            candidates.remove(v)
-            excluded.add(v)
+        pivot = _pivot(adj, candidates, excluded)
+        stack.append((clique, candidates, excluded,
+                      iter(sorted(candidates - adj[pivot]))))
 
-    extend(set(), set(ps.projectors), set())
+    enter(frozenset(), set(ps.projectors), set())
+    while stack:
+        clique, candidates, excluded, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        # the branch gets its own sets, so v can leave this frame at once
+        child = (clique | {v}, candidates & adj[v], excluded & adj[v])
+        candidates.remove(v)
+        excluded.add(v)
+        enter(*child)
 
     declared = {frozenset(c.members): c for c in ps.contexts}
     found = []

@@ -4,8 +4,9 @@ Vectors, matrices, subspaces and projectors all carry `fractions.Fraction`
 entries, so every predicate in this module (equality of subspaces,
 membership of a vector, idempotence of a projector, orthogonality) is
 decided exactly, with zero tolerance.  A projector's range basis is also
-kept as primitive integer rows, so orthogonality of two projectors comes
-down to integer dot products.
+kept as primitive integer rows, so orthogonality of two projectors, and
+the weight and truth value of a projector at a state, come down to
+integer dot products.
 
 A subspace of Q^d is stored as the reduced row-echelon basis of its
 spanning set.  That form is unique, so two `Subspace` values compare equal
@@ -334,17 +335,41 @@ class Subspace:
         return f"Subspace<rank {self.rank} of Q^{self._ambient}: {rows}>"
 
 
+def primitive_integers(entries: Iterable[Rational]) -> tuple[int, ...]:
+    """A nonzero rational vector scaled by a positive factor to coprime
+    integers: the same direction, with no denominators left."""
+    entries = tuple(entries)
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 def _primitive_basis(s: Subspace) -> tuple[tuple[int, ...], ...]:
     """The canonical basis of `s`, each row scaled to coprime integers.
     Every row leads with a pivot 1, so each scaled row leads with a
     positive entry and the result is as unique as the basis."""
-    rows = []
-    for v in s.basis:
-        scale = math.lcm(*(e.denominator for e in v))
-        ints = [e.numerator * (scale // e.denominator) for e in v]
-        g = math.gcd(*ints)
-        rows.append(tuple(x // g for x in ints))
-    return tuple(rows)
+    return tuple(primitive_integers(v) for v in s.basis)
+
+
+def _orthogonalized(rows: tuple[tuple[int, ...], ...]
+                    ) -> tuple[tuple[int, ...], ...]:
+    """Fraction-free Gram-Schmidt on linearly independent integer rows.
+
+    Each row u loses its component along every earlier result w as
+    u <- (w.w) u - (u.w) w, which keeps u integral and makes it orthogonal
+    to w; it is reduced to primitive integers after each step.  The
+    results span what the rows span and are mutually orthogonal.
+    """
+    ortho: list[tuple[int, ...]] = []
+    for u in rows:
+        for w in ortho:
+            uw = sum(map(operator.mul, u, w))
+            if uw:
+                ww = sum(map(operator.mul, w, w))
+                u = primitive_integers([ww * a - uw * b for a, b in zip(u, w)])
+        ortho.append(u)
+    return tuple(ortho)
 
 
 class Projector:
@@ -355,10 +380,12 @@ class Projector:
 
     Each projector also owns one canonical basis of its range as primitive
     integer rows (`range_basis`), derived once and shared by relabeled
-    copies; orthogonality and rank are read from it.
+    copies; orthogonality and rank are read from it.  An orthogonal integer
+    basis of the range (`orthogonal_basis`) is derived from it on first
+    use; the state valuations are read from that one.
     """
 
-    __slots__ = ("_matrix", "_label", "_basis")
+    __slots__ = ("_matrix", "_label", "_basis", "_ortho")
 
     def __init__(self, matrix: Matrix, label: str | None = None):
         if not matrix.is_square():
@@ -370,6 +397,7 @@ class Projector:
         self._matrix = matrix
         self._label = label
         self._basis: tuple[tuple[int, ...], ...] | None = None
+        self._ortho: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def zero(cls, dim: int, label: str | None = None) -> "Projector":
@@ -400,6 +428,16 @@ class Projector:
         return self._basis
 
     @property
+    def orthogonal_basis(self) -> tuple[tuple[int, ...], ...]:
+        """A basis of the range as mutually orthogonal primitive integer
+        rows: `range_basis` itself up to rank 1, its fraction-free
+        Gram-Schmidt above; computed on first use."""
+        if self._ortho is None:
+            basis = self.range_basis
+            self._ortho = basis if len(basis) < 2 else _orthogonalized(basis)
+        return self._ortho
+
+    @property
     def rank(self) -> int:
         return len(self.range_basis)
 
@@ -413,9 +451,10 @@ class Projector:
 
     def relabel(self, label: str | None) -> "Projector":
         """The same operator under another label.  The copy shares the
-        already verified matrix and the range basis; nothing is rechecked."""
+        already verified matrix and both range bases; nothing is rechecked."""
         twin = object.__new__(Projector)
-        twin._matrix, twin._label, twin._basis = self._matrix, label, self._basis
+        twin._matrix, twin._label = self._matrix, label
+        twin._basis, twin._ortho = self._basis, self._ortho
         return twin
 
     def __eq__(self, other) -> bool:

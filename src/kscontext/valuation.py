@@ -18,13 +18,14 @@ state vector:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .contexts import Context, ProjectorSet, find_maximal_contexts, is_maximal
 from .linalg import (Projector, Subspace, Vector, column_space, member,
-                     null_space)
+                     null_space, primitive_integers)
 
 
 class ZeroStateError(ValueError):
@@ -65,19 +66,38 @@ def _as_state(state, dim: int) -> Vector:
     return state.vector
 
 
+def _weight(state, p: Projector) -> tuple[int, int, int]:
+    """(n, d, vv) with <v|P|v> = n/d and <v|v> = vv, where v is the state
+    scaled to primitive integers.
+
+    Both valuations are unchanged when the state is scaled, and
+    <v|P|v> = |Pv|^2 is the sum of (v.w)^2 / (w.w) over the orthogonal
+    integer basis w of the range, so no matrix and no Fraction is needed.
+    """
+    v = primitive_integers(_as_state(state, p.dim))
+    n, d = 0, 1
+    for w in p.orthogonal_basis:
+        vw = sum(map(operator.mul, v, w))
+        if vw:
+            ww = sum(map(operator.mul, w, w))
+            n, d = n * ww + vw * vw * d, d * ww
+    return n, d, sum(map(operator.mul, v, v))
+
+
 def evaluate_bivalent(state, p: Projector) -> TruthValue:
     """Three-way classification by exact subspace membership.
 
     TRUE iff the state is in ran(p) (equivalently p@v == v), FALSE iff it
-    is in the kernel (p@v == 0), GAP otherwise.  Never ambiguous: the
-    arithmetic is exact.
+    is in the kernel (p@v == 0), GAP otherwise.  Decided as: FALSE iff v
+    is orthogonal to every basis row of the range, TRUE iff |Pv|^2 = |v|^2,
+    which for an orthogonal projector holds only when Pv = v.  Never
+    ambiguous: the arithmetic is exact.
     """
-    v = _as_state(state, p.dim)
-    image = p.matrix @ v
-    if image == v:
-        return TruthValue.TRUE
-    if image.is_zero():
+    n, d, vv = _weight(state, p)
+    if n == 0:
         return TruthValue.FALSE
+    if n == vv * d:
+        return TruthValue.TRUE
     return TruthValue.GAP
 
 
@@ -116,10 +136,11 @@ def born_value(state, p: Projector) -> Fraction:
     """Exact weight <v|P|v> / <v|v>; 1 on the range, 0 on the kernel.
 
     Normalization is folded into the ratio, so unnormalized rational
-    states are legal and nothing ever leaves Q.
+    states are legal and nothing ever leaves Q.  For a ray u this is
+    (v.u)^2 / ((u.u)(v.v)).
     """
-    v = _as_state(state, p.dim)
-    return v.dot(p.matrix @ v) / v.dot(v)
+    n, d, vv = _weight(state, p)
+    return Fraction(n, d * vv)
 
 
 def born_context_sum(state, ps: ProjectorSet,

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the library's search and clique code:
 maximal contexts come from subset enumeration, admissibility counts from
-full 2^n enumeration over bitmasks, and the search tree from a recursive
+full 2^n enumeration over bitmasks, the search tree from a recursive
 copy of the kernel that takes orthogonality from the set's graph and
-shared contexts from the network's context lists, pair by pair.  They
+shared contexts from the network's context lists, pair by pair, the
+clique enumeration from a recursive copy of Bron-Kerbosch, and the state
+valuations from the projector's matrix applied to the state.  They
 exist so the fast paths have something slower and dumber to agree with.
 """
 
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from random import Random
 
-from kscontext import (Matrix, ProjectorSet, Subspace, Vector,
-                       orthogonality_graph, projector_from_span)
+from kscontext import (Context, Matrix, ProjectorSet, Subspace, TruthValue,
+                       Vector, orthogonality_graph, projector_from_span)
 
 
 def random_fraction(rng: Random, span: int = 3, max_den: int = 3) -> Fraction:
@@ -125,9 +127,82 @@ def random_pset_text(rng: Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def peres24() -> ProjectorSet:
+    """Peres' 24 rays in Q^4: (1,0,0,0), (1,1,0,0) and (1,1,1,1) under
+    coordinate permutations and sign changes, up to sign.  36 of its
+    orthogonal pairs lie in two of its 24 maximal contexts."""
+    rays = set()
+    for base in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        for perm in permutations(base):
+            for signs in product((1, -1), repeat=4):
+                ray = tuple(s * x for s, x in zip(signs, perm))
+                lead = next(x for x in ray if x)
+                rays.add(tuple(lead * x for x in ray))
+    return ProjectorSet(4, {f"p{i:02d}": projector_from_span([r])
+                            for i, r in enumerate(sorted(rays))})
+
+
+def d_roots(n: int) -> ProjectorSet:
+    """The D_n root rays e_i + e_j and e_i - e_j (i < j) in Q^n; D_8 has
+    56 of them and 105 maximal contexts, one per perfect matching."""
+    rays = {}
+    for i, j in combinations(range(n), 2):
+        for s in (1, -1):
+            v = [0] * n
+            v[i], v[j] = 1, s
+            rays[f"r{i}{'+' if s > 0 else '-'}{j}"] = projector_from_span([v])
+    return ProjectorSet(n, rays)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
+
+def matrix_bivalent(state: Vector, p) -> TruthValue:
+    """TRUE when P v = v, FALSE when P v = 0, GAP otherwise."""
+    image = p.matrix @ state
+    if image == state:
+        return TruthValue.TRUE
+    if image.is_zero():
+        return TruthValue.FALSE
+    return TruthValue.GAP
+
+
+def matrix_born(state: Vector, p) -> Fraction:
+    """<v|P|v> / <v|v> with the matrix product."""
+    return state.dot(p.matrix @ state) / state.dot(state)
+
+
+def recursive_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
+    """`find_maximal_contexts` with Bron-Kerbosch as plain recursion and the
+    pivot taken by `max` over every vertex: the maximal cliques whose
+    ranks fill the space, declared labels first, sorted by members."""
+    adj = orthogonality_graph(ps)
+    cliques: list[frozenset[str]] = []
+
+    def extend(clique, candidates, excluded):
+        if not candidates and not excluded:
+            cliques.append(frozenset(clique))
+            return
+        pivot = max(sorted(candidates | excluded),
+                    key=lambda v: len(adj[v] & candidates))
+        for v in sorted(candidates - adj[pivot]):
+            extend(clique | {v}, candidates & adj[v], excluded & adj[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    extend(set(), set(ps.projectors), set())
+    declared = {frozenset(c.members): c for c in ps.contexts}
+    found = []
+    for clique in cliques:
+        if len(clique) < 2 or \
+                sum(ps[m].rank for m in clique) != ps.dimension:
+            continue
+        found.append(declared.get(clique) or
+                     Context(tuple(sorted(clique)), maximal=True))
+    found.sort(key=lambda c: tuple(sorted(c.members)))
+    return tuple(found)
+
 
 def brute_orthogonal_pairs(ps: ProjectorSet) -> set[frozenset[str]]:
     labels = list(ps.projectors)

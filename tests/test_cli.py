@@ -1,9 +1,18 @@
 """Command-line behavior: reports, formats, exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import kscontext
 from kscontext import contexts
 from kscontext.cli import main
+
+SRC = str(Path(kscontext.__file__).resolve().parent.parent)
 
 BAD_PSET = """\
 dim 4
@@ -193,6 +202,34 @@ class TestEval:
                              "--state", "1/2,1/2,1/2,1/2", "--semantics", "born")
         assert status == 0
         assert "sum=1" in out
+
+    def test_negative_fractional_inline_state(self, capsys):
+        status, out, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
+                             "--state", "1/2, -3,0,7", "--semantics", "born")
+        assert status == 0
+        assert "state: (1/2, -3, 0, 7)" in out
+
+    @pytest.mark.parametrize("entry", ["\u0661", "0.5", "+1", "1e3", "1_0",
+                                       "1/0", "1 /2", "", "9" * 5000])
+    def test_inline_state_outside_the_pset_grammar_exits_1(self, capsys,
+                                                             entry):
+        status, out, err = run(capsys, "eval", "--builtin", "cabello-c1c6",
+                               "--state", f"0,0,{entry},1")
+        assert status == 1
+        assert out == ""
+        assert "bad rational" in err
+
+    def test_huge_exponent_is_rejected_unread(self):
+        # Fraction('1e10000000') alone takes seconds and a larger exponent
+        # exhausts memory; the grammar turns it away before any arithmetic
+        done = subprocess.run(
+            [sys.executable, "-m", "kscontext.cli", "eval", "--builtin",
+             "cabello-c1c6", "--state", "1e10000000,0,0,1"],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 1
+        assert "bad rational" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestLocalize:

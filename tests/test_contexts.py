@@ -1,6 +1,7 @@
 """Context validity, maximality, and discovery against a subset-enumeration oracle."""
 
 import itertools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -11,10 +12,14 @@ from kscontext import (Context, Matrix, Projector, ProjectorSet,
                        find_maximal_contexts, is_maximal, orthogonality_graph,
                        parse, projector_from_span, to_projector_set,
                        validate_context)
+from kscontext import contexts
 from kscontext.cli import main
+from kscontext.search import admissible_assignments
 
-from _gen import (brute_maximal_contexts, random_orthogonal_basis,
-                  random_ray_corpus, random_vector)
+from _gen import (brute_maximal_contexts, d_roots, peres24,
+                  random_orthogonal_basis, random_pset_text,
+                  random_ray_corpus, random_vector,
+                  recursive_maximal_contexts)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +127,63 @@ class TestFindMaximalContexts:
         a = {frozenset(c.members) for c in find_maximal_contexts(ps)}
         b = {frozenset(c.members) for c in find_maximal_contexts(shuffled)}
         assert a == b
+
+
+class TestIterativeCliques:
+    """Bron-Kerbosch on an explicit stack against its recursive form."""
+
+    def corpora(self):
+        yield builtin("cabello-c1c6")
+        yield builtin("cabello-18")
+        yield peres24()
+        yield d_roots(8)
+        rng = Random(60606)
+        for _ in range(30):
+            yield random_ray_corpus(rng, rng.randint(2, 4), max_rays=10)
+        for _ in range(30):
+            yield to_projector_set(parse(random_pset_text(rng)))
+
+    def test_same_contexts_as_recursive_form(self):
+        sizes = []
+        for ps in self.corpora():
+            found = find_maximal_contexts(ps)
+            # Context equality covers label, member order and maximality
+            assert found == recursive_maximal_contexts(ps)
+            sizes.append(len(found))
+        assert sizes[:4] == [2, 9, 24, 105]
+
+    def test_pivot_is_the_first_vertex_with_most_candidate_neighbours(self):
+        rng = Random(90210)
+        early = 0
+        for _ in range(400):
+            labels = [f"v{i}" for i in range(rng.randint(1, 9))]
+            adj = {l: set() for l in labels}
+            density = rng.random()
+            for a, b in itertools.combinations(labels, 2):
+                if rng.random() < density:
+                    adj[a].add(b)
+                    adj[b].add(a)
+            adj = {l: frozenset(n) for l, n in adj.items()}
+            pool = rng.sample(labels, rng.randint(1, len(labels)))
+            cut = rng.randint(0, len(pool))
+            candidates, excluded = set(pool[:cut]), set(pool[cut:])
+            want = max(sorted(candidates | excluded),
+                       key=lambda v: len(adj[v] & candidates))
+            assert contexts._pivot(adj, candidates, excluded) == want
+            early += len(adj[want] & candidates) >= len(candidates) - 1
+        assert early > 50
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # the zero projector is orthogonal to every projector, so 1100 of
+        # them form one clique of 1100; its ranks sum to 0, not a context
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        ps = ProjectorSet(2, {f"z{k:04d}": projector_from_span([(0, 0)])
+                              for k in range(n)})
+        assert find_maximal_contexts(ps) == ()
+        result = admissible_assignments(ps, mode="first")
+        assert result.status == "SAT"
+        assert set(result.witness.values.values()) == {0}
 
 
 class TestIsMaximalOracle:

@@ -5,6 +5,7 @@ hand Gaussian elimination and are frozen here; the randomized loops check
 the subspace lattice laws on small dimensions.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -272,6 +273,50 @@ class TestRangeBasis:
             assert q == original
             assert q._basis is original._basis
         assert p.relabel("c").range_basis is p.range_basis
+
+
+class TestOrthogonalBasis:
+    """The cached orthogonal integer basis behind the state valuations."""
+
+    def test_orthogonal_primitive_rows_spanning_the_range(self):
+        rng = Random(4242)
+        ranks = set()
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            spanned = projector_from_span([random_vector(rng, d)
+                                           for _ in range(rng.randint(1, d))])
+            for p in (spanned, complement(spanned), Projector(spanned.matrix),
+                      Projector.identity(d)):
+                basis = p.orthogonal_basis
+                ranks.add(len(basis))
+                assert len(basis) == p.rank
+                for u in basis:
+                    assert all(type(x) is int for x in u)
+                    assert math.gcd(*u) == 1
+                for u, w in itertools.combinations(basis, 2):
+                    assert sum(a * b for a, b in zip(u, w)) == 0
+                assert Subspace.from_span(basis, dim_ambient=d) == p.range
+                assert p.orthogonal_basis is basis
+        assert ranks == {0, 1, 2, 3, 4, 5}
+
+    def test_rank_one_uses_the_range_basis(self):
+        p = projector_from_span([(-H, Q, 0, Q)])
+        assert p.orthogonal_basis is p.range_basis
+        lazy = Projector(P6_1)
+        assert lazy.orthogonal_basis is lazy.range_basis
+        assert lazy.orthogonal_basis == ((1, -1, -1, 1),)
+
+    def test_worked_plane(self):
+        # rows (1,0,1,0) and (0,1,1,0) of the RREF basis: the second loses
+        # its component along the first, 2*(0,1,1,0) - 1*(1,0,1,0)
+        p = projector_from_span([(1, 0, 1, 0), (0, 1, 1, 0)])
+        assert p.range_basis == ((1, 0, 1, 0), (0, 1, 1, 0))
+        assert p.orthogonal_basis == ((1, 0, 1, 0), (-1, 2, 1, 0))
+
+    def test_relabel_shares_it(self):
+        p = projector_from_span([(1, 0, 1, 0), (0, 1, 1, 0)], "a")
+        basis = p.orthogonal_basis
+        assert p.relabel("b").orthogonal_basis is basis
 
 
 class TestProjectorValidation:

@@ -18,7 +18,7 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        projector_from_span, to_projector_set)
 
 from _gen import (brute_admissible, first_shared_context, oracle_adjacency,
-                  random_ray_corpus, recursive_search_task)
+                  peres24, random_ray_corpus, recursive_search_task)
 
 
 @pytest.fixture(scope="module")
@@ -357,21 +357,6 @@ class SerialPool:
         tasks = list(zip(*iterables))
         SerialPool.prefixes = [seed for _, seed, _ in tasks]
         return [fn(*task) for task in tasks]
-
-
-def peres24():
-    """Peres' 24 rays in Q^4: (1,0,0,0), (1,1,0,0) and (1,1,1,1) under
-    coordinate permutations and sign changes, up to sign.  36 of its
-    orthogonal pairs lie in two of its 24 maximal contexts."""
-    rays = set()
-    for base in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
-        for perm in itertools.permutations(base):
-            for signs in itertools.product((1, -1), repeat=4):
-                ray = tuple(s * x for s, x in zip(signs, perm))
-                lead = next(x for x in ray if x)
-                rays.add(tuple(lead * x for x in ray))
-    return ProjectorSet(4, {f"p{i:02d}": projector_from_span([r])
-                            for i, r in enumerate(sorted(rays))})
 
 
 def oracle_cases():

@@ -5,16 +5,18 @@ from random import Random
 
 import pytest
 
-from kscontext import (Projector, ProjectorSet, StateVector, TruthValue,
-                       Vector, ZeroStateError, born_context_sum, born_value,
-                       builtin, complement, evaluate_bivalent,
+from kscontext import (Matrix, Projector, ProjectorSet, StateVector,
+                       TruthValue, Vector, ZeroStateError, born_context_sum,
+                       born_value, builtin, complement, evaluate_bivalent,
                        evaluate_context, localize_indefiniteness,
                        projector_from_span)
 
-from _gen import random_orthogonal_basis, random_subspace, random_vector
+from _gen import (matrix_born, matrix_bivalent, peres24,
+                  random_orthogonal_basis, random_subspace, random_vector)
 
 E4 = Vector((0, 0, 0, 1))
 ONES = Vector((1, 1, 1, 1))
+H = Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,88 @@ def random_fraction_scale(rng, nonzero=False):
         f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if not nonzero or f != 0:
             return f
+
+
+def oracle_projectors(rng, d):
+    """Projectors on Q^d of every rank 0..d, each built four ways: from a
+    span (basis seeded), from its matrix (basis derived lazily), as the
+    complement of another, and relabeled."""
+    for rank in range(d + 1):
+        vectors = [random_vector(rng, d) for _ in range(rank)]
+        spanned = projector_from_span(vectors or [[0] * d], "s")
+        if spanned.rank != rank:
+            continue
+        yield spanned
+        yield Projector(spanned.matrix)
+        yield complement(projector_from_span(
+            [random_vector(rng, d) for _ in range(d - rank)] or [[0] * d]))
+        yield spanned.relabel("t")
+
+
+def oracle_states(rng, p):
+    """Random states, states in the range and in the kernel, and negative
+    rescalings of each."""
+    d = p.dim
+    states = [random_vector(rng, d) for _ in range(3)]
+    for space in (p.range, p.kernel):
+        if not space.is_zero():
+            states.append(sum((random_fraction_scale(rng) * b
+                               for b in space.basis[1:]),
+                              random_fraction_scale(rng, nonzero=True)
+                              * space.basis[0]))
+    scale = -Fraction(rng.randint(1, 7), rng.randint(1, 5))
+    return [v for v in states if not v.is_zero()] + \
+        [scale * v for v in states if not v.is_zero()]
+
+
+class TestAgainstMatrixOracle:
+    """Both valuations equal the matrix-product forms they replaced."""
+
+    def test_every_rank_and_construction(self):
+        rng = Random(80808)
+        truth_values = set()
+        ranks = set()
+        for _ in range(6):
+            for d in range(1, 6):
+                for p in oracle_projectors(rng, d):
+                    ranks.add((d, p.rank))
+                    for v in oracle_states(rng, p):
+                        t = evaluate_bivalent(v, p)
+                        assert t is matrix_bivalent(v, p)
+                        assert born_value(v, p) == matrix_born(v, p)
+                        truth_values.add(t)
+        assert ranks == {(d, r) for d in range(1, 6) for r in range(d + 1)}
+        assert truth_values == set(TruthValue)
+
+    def test_fractional_and_negative_inline_states(self, c1c6):
+        ps = peres24()
+        for v in (Vector((H, -3, 0, 7)), Vector((-H, -H, -H, -H)),
+                  Vector((Fraction(-2, 3), Fraction(5, 7), 1, 0))):
+            for p in ps.projectors.values():
+                assert evaluate_bivalent(v, p) is matrix_bivalent(v, p)
+                assert born_value(v, p) == matrix_born(v, p)
+        for p in c1c6.projectors.values():
+            v = Vector((0, 0, 0, -H))
+            assert born_value(v, p) == matrix_born(v, p)
+
+    def test_no_matrix_arithmetic(self, c1c6, monkeypatch):
+        plane = projector_from_span([(1, 0, 1, 0), (0, 1, 1, 0)], "plane")
+        pool = [*peres24().projectors.values(), *c1c6.projectors.values(),
+                plane, Projector(plane.matrix), complement(plane),
+                Projector.zero(4), Projector.identity(4)]
+        states = [E4, ONES, Vector((H, -3, 0, 7)), Vector((1, 2, 3, 4))]
+        want = [(matrix_bivalent(v, p), matrix_born(v, p))
+                for p in pool for v in states]
+
+        def no_matrix_arithmetic(*args):
+            raise AssertionError("a valuation did matrix arithmetic")
+
+        for name in ("__matmul__", "__add__", "__sub__", "__mul__",
+                     "__rmul__"):
+            monkeypatch.setattr(Matrix, name, no_matrix_arithmetic)
+        got = [(evaluate_bivalent(v, p), born_value(v, p))
+               for p in pool for v in states]
+        assert got == want
 
 
 class TestLocalizeIndefiniteness:
