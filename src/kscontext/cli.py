@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +24,9 @@ from . import corpus
 from .contexts import UnknownLabelError, find_maximal_contexts, validate_context
 from .search import (InconsistentAssignmentError, admissible_assignments,
                      localized_indefiniteness_certificate)
-from .valuation import (TruthValue, ZeroStateError, born_value, evaluate_bivalent,
-                        evaluate_context, localize_indefiniteness)  # noqa: F401
+from .valuation import (StateVector, TruthValue, ZeroStateError, born_value,
+                        evaluate_bivalent, evaluate_context,
+                        localize_indefiniteness)  # noqa: F401
 from .linalg import Vector
 
 EXIT_OK = 0
@@ -192,10 +194,11 @@ def _cmd_color(args, cf, ps):
 
 
 def _cmd_eval(args, cf, ps):
-    state = _parse_state(args.state, cf, ps)
-    payload = {"state": [str(e) for e in state.entries],
+    vector = _parse_state(args.state, cf, ps)
+    state = StateVector(vector)     # scaled to integers once, for every member
+    payload = {"state": [str(e) for e in vector.entries],
                "semantics": args.semantics, "contexts": []}
-    lines = [f"state: ({', '.join(str(e) for e in state.entries)})"]
+    lines = [f"state: ({', '.join(str(e) for e in vector.entries)})"]
     bivalent = args.semantics == "bivalent"
     for ctx in ps.contexts or find_maximal_contexts(ps):
         if bivalent:
@@ -252,6 +255,19 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
+def _glue_negative_states(argv: list[str]) -> list[str]:
+    """`--state -1,2,0,0` as `--state=-1,2,0,0`.  argparse takes a value
+    that starts with '-' for an option unless it is one plain number, and
+    no option here starts with '-' and a digit."""
+    glued: list[str] = []
+    for arg in argv:
+        if glued and glued[-1] == "--state" and re.match(r"-[0-9]", arg):
+            glued[-1] = f"--state={arg}"
+        else:
+            glued.append(arg)
+    return glued
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kscontext",
                      description="Exact analysis of projector contexts: "
@@ -291,7 +307,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_negative_states(sys.argv[1:] if argv is None else list(argv)))
         if bool(args.file) == bool(args.builtin):
             raise _CliError(f"{parser.prog}: error: give exactly one corpus "
                             f"source: a FILE or --builtin NAME")

@@ -183,12 +183,13 @@ def orthogonality_graph(ps: ProjectorSet) -> Mapping[str, frozenset[str]]:
     computed once per set, read-only."""
     if ps._graph is not None:
         return ps._graph
-    labels = list(ps.projectors)
-    adj: dict[str, set[str]] = {l: set() for l in labels}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if is_orthogonal(ps[a], ps[b]):
-                adj[a].add(b)
+    items = list(ps.projectors.items())
+    adj: dict[str, set[str]] = {l: set() for l, _ in items}
+    for i, (a, p) in enumerate(items):
+        neighbours = adj[a]
+        for b, q in items[i + 1:]:
+            if is_orthogonal(p, q):
+                neighbours.add(b)
                 adj[b].add(a)
     ps._graph = MappingProxyType({l: frozenset(s) for l, s in adj.items()})
     return ps._graph

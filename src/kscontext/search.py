@@ -8,20 +8,24 @@ backtracking with unit propagation on an explicit stack, so no recursion
 limit bounds the number of variables; UNSAT answers are exhaustive-search
 certificates, never heuristic.
 
-The search may partition its top-level branches across worker processes,
-at most one per CPU; where no pool can start it searches the same
-branches serially and issues a RuntimeWarning.
-Status, witness, model count and the witness list are identical for any
-worker count; only `nodes_explored` depends on how the tree was split.
+Every constraint lives inside one connected component of the
+orthogonality graph (a maximal context is a clique, a forced value
+touches one projector), so the search runs on each component on its own
+and combines them: UNSAT iff some component is UNSAT, the model count is
+the product of the component counts, and the witnesses are the
+Cartesian product of the component witnesses, in the order a single
+search over the whole set finds them.  `nodes_explored` is one root for
+the whole search plus, for every component searched, its nodes less its
+own root.  Components are searched in order of their lowest decision
+index, up to the first UNSAT one; `violated_context` is the last
+conflict of the last component that had one.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -123,7 +127,7 @@ def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
 
 @dataclass(frozen=True)
 class _Network:
-    """Index-based view of the constraints; plain data so it pickles."""
+    """Index-based view of the constraints."""
 
     labels: tuple[str, ...]                 # decision order
     index: dict[str, int]                   # label -> position in labels
@@ -286,7 +290,8 @@ def _dfs(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
 
 
 def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
-    """Exhaust the subtree under `seed`; module-level so pools can pickle it."""
+    """Exhaust the network under `seed`: (count, first witness, witnesses,
+    nodes, last conflict as an index into `net.maximal`)."""
     acc = _Acc()
     values: list = [None] * len(net.labels)
     trail: list[int] = []
@@ -302,21 +307,95 @@ def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
     return acc.count, acc.first, acc.solutions, acc.nodes, acc.last_conflict
 
 
+def _components(net: _Network) -> list[tuple[_Network, tuple[int, ...]]]:
+    """The connected components of the orthogonality graph in order of
+    their lowest decision index, each as a sub-network together with the
+    indices in `net.maximal` of its contexts.
+
+    A sub-network keeps the relative decision order, so its variables,
+    contexts and pairs are those of `net`, renumbered.  A connected
+    network is its own one component.
+    """
+    n = len(net.labels)
+    seen = [False] * n
+    parts = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [start], [start]
+        while stack:
+            for j, _ in net.pairs[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    stack.append(j)
+        parts.append(sorted(members))
+    if len(parts) == 1:     # a copy would hold a dense graph's pairs twice
+        return [(net, tuple(range(len(net.maximal))))]
+    return [_sub_network(net, members) for members in parts]
+
+
+def _sub_network(net: _Network, members: list[int]
+                 ) -> tuple[_Network, tuple[int, ...]]:
+    """The network on `members` (indices in `net`, ascending), with the
+    indices in `net.maximal` of its contexts."""
+    local = {g: i for i, g in enumerate(members)}
+    context_ids = sorted({c for g in members for c in net.contexts_of[g]})
+    local_context = {c: k for k, c in enumerate(context_ids)}
+    labels = tuple(net.labels[g] for g in members)
+    sub = _Network(
+        labels, {l: i for i, l in enumerate(labels)},
+        tuple(tuple((local[j], local_context.get(c)) for j, c in net.pairs[g])
+              for g in members),
+        tuple(net.maximal[c] for c in context_ids),
+        tuple(tuple(local[m] for m in net.contexts[c]) for c in context_ids),
+        tuple(tuple(local_context[c] for c in net.contexts_of[g])
+              for g in members),
+        tuple((local[g], v) for g, v in net.forced if g in local))
+    return sub, tuple(context_ids)
+
+
+def _search_components(net: _Network, fixed: Mapping[str, int], mode: Mode):
+    """`_search_task` on every component under its share of `fixed`, up
+    to and including the first UNSAT one, each conflict as an index into
+    `net.maximal`."""
+    parts = []
+    for sub, context_ids in _components(net):
+        count, first, solutions, nodes, conflict = _search_task(
+            sub, _seed_from_fixed(sub, fixed), mode)
+        if conflict is not None and conflict >= 0:
+            conflict = context_ids[conflict]
+        parts.append((count, first, solutions, nodes, conflict))
+        if not count:
+            break
+    return parts
+
+
 def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
-    count = 0
-    witness = None
-    solutions: list[dict] = []
-    nodes = 0
+    """One result from the searches of disjoint components of `net`.
+
+    Models are the products of component models.  A witness lists its
+    labels in decision order, and the witnesses run in descending
+    lexicographic order of their values in decision order: that is the
+    order of a single search, which tries 1 before 0 on the lowest
+    undecided variable.  The nodes count one root for the whole search;
+    the last conflict is that of the last component that had one.
+    """
+    count = math.prod(p[0] for p in parts)
+    nodes = 1 + sum(p[3] - 1 for p in parts)
     conflict = None
-    for part_count, part_first, part_solutions, part_nodes, part_conflict in parts:
-        count += part_count
-        nodes += part_nodes
-        if witness is None and part_first is not None:
-            witness = part_first
+    for p in parts:
+        if p[4] is not None:
+            conflict = p[4]
+    witness = solutions = None
+    if count:
+        witness = dict(zip(net.labels, _values(net, [p[1] for p in parts])))
         if mode == "all":
-            solutions.extend(part_solutions)
-        if part_conflict is not None:
-            conflict = part_conflict
+            rows = sorted((_values(net, combo) for combo in
+                           itertools.product(*(p[2] for p in parts))),
+                          reverse=True)
+            solutions = [dict(zip(net.labels, row)) for row in rows]
     violated_name = None
     violated_members = None
     if conflict is not None and conflict >= 0:
@@ -327,19 +406,26 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
         witness=Assignment(witness) if witness else None,
         nodes_explored=nodes,
         count=None if mode == "first" else count,
-        witnesses=tuple(Assignment(s) for s in solutions) if mode == "all" else None,
+        witnesses=tuple(Assignment(s) for s in solutions or ())
+        if mode == "all" else None,
         violated_context=violated_name,
         violated_members=violated_members,
     )
 
 
+def _values(net: _Network, witnesses) -> list[int]:
+    """The union of witnesses on disjoint labels, as values in decision
+    order."""
+    union: dict[str, int] = {}
+    for w in witnesses:
+        union.update(w)
+    return [union[l] for l in net.labels]
+
+
 def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):
-    return net.forced + tuple((net.index[l], v) for l, v in fixed.items())
-
-
-def _pool_size(workers: int) -> int:
-    """The requested worker count, capped at the machine's CPU count."""
-    return min(workers, os.cpu_count() or 1)
+    """Forced values, then the fixed values of the network's own labels."""
+    return net.forced + tuple((net.index[l], v) for l, v in fixed.items()
+                              if l in net.index)
 
 
 def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
@@ -350,38 +436,15 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
     mode="first" stops at the first witness (canonical order: labels by
     descending context-degree then name, value 1 tried before 0);
     "all" collects every witness; "count" counts them exhaustively.
-    `fixed` pins labels before the search starts.
+    `fixed` pins labels before the search starts.  `workers` must be at
+    least 1 and changes nothing: the search splits into connected
+    components, not processes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = _pool_size(workers)
     fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
-    seed = _seed_from_fixed(net, fixed)
-
-    if workers == 1 or len(net.labels) <= len(fixed):
-        return _merge(net, [_search_task(net, seed, mode)], mode)
-
-    # split on the first undecided decision variables, prefixes in DFS order
-    decided = {var for var, _ in seed}
-    free = [i for i in range(len(net.labels)) if i not in decided]
-    depth = min(len(free), max(1, (workers - 1).bit_length()))
-    prefixes = [
-        seed + tuple(zip(free[:depth], combo))
-        for combo in itertools.product((1, 0), repeat=depth)
-    ]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_search_task, itertools.repeat(net),
-                                  prefixes, itertools.repeat(mode)))
-    except (OSError, PermissionError) as err:
-        # sandboxed environments may forbid subprocesses; same partition,
-        # same merge, identical results
-        warnings.warn(f"worker pool unavailable ({err!r}); searching the "
-                      f"{len(prefixes)} prefixes serially", RuntimeWarning,
-                      stacklevel=2)
-        parts = [_search_task(net, prefix, mode) for prefix in prefixes]
-    return _merge(net, parts, mode)
+    return _merge(net, _search_components(net, fixed, mode), mode)
 
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
@@ -412,26 +475,35 @@ def localized_indefiniteness_certificate(
 
     A pin is satisfiable when some admissible assignment extends `fixed`
     and the pin; a label whose both pins are UNSAT is value indefinite
-    given the fixings.  Every witness found shows each of its values
-    satisfiable, so a pin that an earlier witness covers needs no search,
-    and when `fixed` alone is UNSAT so is every pin.
+    given the fixings.  Components are independent, so once `fixed` is
+    satisfiable on every component a pin needs a search of its own
+    component only; when `fixed` is UNSAT on one, so is every pin.  Every
+    witness found shows each of its values satisfiable, so a pin that an
+    earlier witness covers needs no search.
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
     net = _build_network(ps)
     _validate_fixed_locally(net, fixed)
+    components = [sub for sub, _ in _components(net)]
+    component_of = {l: sub for sub in components for l in sub.labels}
     witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 
-    def find_witness(pins: Mapping[str, int]) -> bool:
-        _, first, _, _, _ = _search_task(net, _seed_from_fixed(net, pins), "first")
+    def find_witness(sub: _Network, pins: Mapping[str, int]) -> bool:
+        _, first, _, _, _ = _search_task(sub, _seed_from_fixed(sub, pins), "first")
         witnessed.update((first or {}).items())
         return first is not None
 
-    consistent = find_witness(fixed)
+    # all() stops at the first UNSAT component; the witnesses of the SAT
+    # components before it extend to no total assignment, so drop them
+    consistent = all(find_witness(sub, fixed) for sub in components)
+    if not consistent:
+        witnessed.clear()
 
     def satisfiable(label: str, value: int) -> bool:
         return (label, value) in witnessed or (
-            consistent and find_witness({**fixed, label: value}))
+            consistent and find_witness(component_of[label],
+                                        {**fixed, label: value}))
 
     verdicts: dict[str, PinVerdict] = {}
     for label in sorted(ps.projectors):

@@ -18,6 +18,7 @@ state vector:
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,24 +58,29 @@ class StateVector:
         if self.vector.is_zero():
             raise ZeroStateError("state vector must be nonzero")
 
+    @functools.cached_property
+    def _integers(self) -> tuple[int, ...]:
+        """The vector scaled to primitive integers, once per state; both
+        valuations are unchanged when the state is scaled."""
+        return primitive_integers(self.vector)
 
-def _as_state(state, dim: int) -> Vector:
+
+def _as_state(state, dim: int) -> StateVector:
     if not isinstance(state, StateVector):
         state = StateVector(state if isinstance(state, Vector) else Vector(state))
     if state.vector.dim != dim:
         raise ValueError(f"dimension mismatch: state {state.vector.dim} vs projector {dim}")
-    return state.vector
+    return state
 
 
 def _weight(state, p: Projector) -> tuple[int, int, int]:
     """(n, d, vv) with <v|P|v> = n/d and <v|v> = vv, where v is the state
     scaled to primitive integers.
 
-    Both valuations are unchanged when the state is scaled, and
     <v|P|v> = |Pv|^2 is the sum of (v.w)^2 / (w.w) over the orthogonal
     integer basis w of the range, so no matrix and no Fraction is needed.
     """
-    v = primitive_integers(_as_state(state, p.dim))
+    v = _as_state(state, p.dim)._integers
     n, d = 0, 1
     for w in p.orthogonal_basis:
         vw = sum(map(operator.mul, v, w))
@@ -128,6 +134,7 @@ def evaluate_context(state, ps: ProjectorSet,
     if not isinstance(ctx, Context):
         members = tuple(ctx)
         ctx = Context(members, maximal=is_maximal(ps, members))
+    state = _as_state(state, ps.dimension)
     return ContextValuation(
         ctx, tuple(evaluate_bivalent(state, ps[m]) for m in ctx.members))
 
@@ -149,6 +156,7 @@ def born_context_sum(state, ps: ProjectorSet,
     members = ctx.members if isinstance(ctx, Context) else tuple(ctx)
     if not is_maximal(ps, members):
         raise ValueError("born_context_sum needs a maximal context")
+    state = _as_state(state, ps.dimension)
     return sum((born_value(state, ps[m]) for m in members), Fraction(0))
 
 
@@ -203,11 +211,12 @@ def localize_indefiniteness(state, ps: ProjectorSet) -> IndefinitenessReport:
     explicit membership tests against the range and kernel subspaces, so
     a report can be re-checked without trusting the classifier.
     """
-    v = _as_state(state, ps.dimension)
+    state = _as_state(state, ps.dimension)
+    v = state.vector
     values: dict[str, TruthValue] = {}
     evidence: dict[str, MembershipEvidence] = {}
     for label, p in ps.projectors.items():
-        t = evaluate_bivalent(v, p)
+        t = evaluate_bivalent(state, p)
         values[label] = t
         if t is TruthValue.GAP:
             ran = column_space(p.matrix)

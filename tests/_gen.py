@@ -102,6 +102,22 @@ def random_ray_corpus(rng: Random, dim: int, max_rays: int = 12) -> ProjectorSet
     return ProjectorSet(dim, projectors)
 
 
+def random_split_corpus(rng: Random, dim: int, max_rays: int = 6) -> ProjectorSet:
+    """Two or three `random_ray_corpus` sets on one space under shuffled
+    labels, so that their labels interleave in decision order.  A ray
+    proportional to an earlier one is dropped.  Rays of different sets
+    may still be orthogonal, so count the components before relying on
+    them."""
+    projectors: list = []
+    for _ in range(rng.randint(2, 3)):
+        for p in random_ray_corpus(rng, dim, max_rays).projectors.values():
+            if p not in projectors:
+                projectors.append(p)
+    names = [f"r{i:02d}" for i in range(len(projectors))]
+    rng.shuffle(names)
+    return ProjectorSet(dim, dict(zip(names, projectors)))
+
+
 def random_pset_text(rng: Random) -> str:
     """A small random PSET file: vectors, maybe a span, maybe a context."""
     dim = rng.randint(2, 5)
@@ -212,6 +228,24 @@ def brute_orthogonal_pairs(ps: ProjectorSet) -> set[frozenset[str]]:
                 (ps[b].matrix @ ps[a].matrix).is_zero():
             pairs.add(frozenset((a, b)))
     return pairs
+
+
+def graph_components(ps: ProjectorSet, order) -> list[tuple[str, ...]]:
+    """Connected components of the orthogonality relation found with
+    matrix products, each listed in `order` (every label once), ordered
+    by their first label in it."""
+    component = {l: frozenset((l,)) for l in order}
+    for a, b in (tuple(p) for p in brute_orthogonal_pairs(ps)):
+        merged = component[a] | component[b]
+        for l in merged:
+            component[l] = merged
+    found: list[tuple[str, ...]] = []
+    placed: set[str] = set()
+    for l in order:
+        if l not in placed:
+            placed |= component[l]
+            found.append(tuple(m for m in order if m in component[l]))
+    return found
 
 
 def brute_maximal_contexts(ps: ProjectorSet) -> set[frozenset[str]]:

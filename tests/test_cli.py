@@ -136,9 +136,7 @@ class TestColor:
         assert status == 0 and "admissible assignments: 12" in out
         assert len(tested) == len(rays) * (len(rays) - 1) // 2
 
-    def test_huge_worker_request_echoed(self, capsys, monkeypatch):
-        from kscontext import search
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    def test_huge_worker_request_echoed(self, capsys):
         status, payload = run_json(capsys, "color", "--builtin", "cabello-c1c6",
                                    "--mode", "count", "--workers", "1000000000")
         assert status == 0
@@ -208,6 +206,40 @@ class TestEval:
                              "--state", "1/2, -3,0,7", "--semantics", "born")
         assert status == 0
         assert "state: (1/2, -3, 0, 7)" in out
+
+    def test_state_scaled_to_integers_once_per_call(self, capsys,
+                                                     monkeypatch):
+        from kscontext import valuation
+        scaled = []
+        original = valuation.primitive_integers
+        monkeypatch.setattr(valuation, "primitive_integers",
+                            lambda v: scaled.append(v) or original(v))
+        for semantics in ("bivalent", "born"):
+            scaled.clear()
+            status, _, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
+                               "--state", "1/2,3,0,7", "--semantics", semantics)
+            assert status == 0
+            assert len(scaled) == 1
+
+    def test_negative_first_entry_with_or_without_equals(self, capsys):
+        spellings = (["--state", "-1,2,0,0"], ["--state=-1,2,0,0"],
+                     ["--state", "-1/2, 3,0,-7"], ["--state=-1/2, 3,0,-7"])
+        outputs = []
+        for state in spellings:
+            for fmt in ("text", "json"):
+                status, out, err = run(capsys, "eval", "--builtin",
+                                       "cabello-c1c6", *state, "--semantics",
+                                       "born", "--format", fmt)
+                assert status == 0 and err == ""
+                if fmt == "json":
+                    payload = json.loads(out)
+                    assert payload["argv"][3:-4] == state
+                    out = payload["result"]
+                outputs.append(out)
+        assert "state: (-1, 2, 0, 0)" in outputs[0]
+        assert outputs[0:2] == outputs[2:4]
+        assert outputs[4:6] == outputs[6:8]
+        assert "state: (-1/2, 3, 0, -7)" in outputs[4]
 
     @pytest.mark.parametrize("entry", ["\u0661", "0.5", "+1", "1e3", "1_0",
                                        "1/0", "1 /2", "", "9" * 5000])

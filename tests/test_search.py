@@ -14,11 +14,13 @@ from kscontext import search
 from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        ProjectorSet, UnknownLabelError,
                        admissible_assignments, builtin, check_assignment,
-                       localized_indefiniteness_certificate, parse,
-                       projector_from_span, to_projector_set)
+                       localized_indefiniteness_certificate,
+                       orthogonality_graph, parse, projector_from_span,
+                       to_projector_set)
 
-from _gen import (brute_admissible, first_shared_context, oracle_adjacency,
-                  peres24, random_ray_corpus, recursive_search_task)
+from _gen import (brute_admissible, first_shared_context, graph_components,
+                  oracle_adjacency, peres24, random_ray_corpus,
+                  random_split_corpus, recursive_search_task)
 
 
 @pytest.fixture(scope="module")
@@ -164,23 +166,6 @@ class TestWorkers:
     def test_invalid_worker_count(self, c1c6):
         with pytest.raises(ValueError):
             admissible_assignments(c1c6, workers=0)
-
-    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-        assert [search._pool_size(w) for w in (1, 2, 3, 4, 10 ** 9)] == \
-            [1, 2, 3, 3, 3]
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert search._pool_size(10 ** 9) == 1
-
-    def test_huge_request_is_capped_before_splitting(self, c1c6, monkeypatch):
-        # on one CPU the capped request is serial: no prefixes, no pool
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-        huge = admissible_assignments(c1c6, mode="count", workers=10 ** 9)
-        assert huge == admissible_assignments(c1c6, mode="count")
 
 
 class TestLocalizedCertificate:
@@ -338,27 +323,6 @@ class TestOneAdmissibilityRule:
         assert err.value.context == ("P1_1", "P1_2", "P1_3", "P1_4")
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: runs every task in this process
-    and records the prefixes it was handed."""
-
-    prefixes: list = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        tasks = list(zip(*iterables))
-        SerialPool.prefixes = [seed for _, seed, _ in tasks]
-        return [fn(*task) for task in tasks]
-
-
 def oracle_cases():
     for name in ("cabello-c1c6", "cabello-18"):
         ps = builtin(name)
@@ -377,13 +341,65 @@ def oracle_cases():
             yield ps, fixed
 
 
-def assert_same_result(got, want):
-    for field in ("status", "witness", "count", "witnesses", "nodes_explored",
-                  "violated_context", "violated_members"):
+def assert_same_answer(got, want):
+    """Status, witness, count, the witnesses, and each witness's key order."""
+    for field in ("status", "witness", "count", "witnesses"):
         assert getattr(got, field) == getattr(want, field), field
+    if got.witness is not None:
+        assert list(got.witness.values) == list(want.witness.values)
     if got.witnesses is not None:
         assert [list(w.values.items()) for w in got.witnesses] == \
             [list(w.values.items()) for w in want.witnesses]
+
+
+def assert_same_result(got, want):
+    assert_same_answer(got, want)
+    for field in ("nodes_explored", "violated_context", "violated_members"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def component_sets(ps):
+    """Each connected component of `ps` as a set of its own, with its
+    network, in order of its first label in the whole set's decision
+    order."""
+    order = search._build_network(ps).labels
+    parts = []
+    for component in graph_components(ps, order):
+        sub = ProjectorSet(ps.dimension, {l: ps[l] for l in component},
+                           [c for c in ps.contexts
+                            if set(c.members) <= set(component)])
+        net = search._build_network(sub)
+        assert net.labels == component      # the relative decision order
+        parts.append((sub, net))
+    return parts
+
+
+def component_oracle(parts, fixed, mode):
+    """(nodes_explored, (violated_context, violated_members)) of a search
+    that runs the recursive oracle on each of `component_sets` and stops
+    after the first UNSAT one.  The nodes are one root plus each
+    component's nodes less its own root; the conflict is the last one of
+    the last component that had one."""
+    nodes, violated = 1, (None, None)
+    for sub, net in parts:
+        count, _, _, part_nodes, conflict = recursive_search_task(
+            sub, net, search._seed_from_fixed(net, fixed), mode)
+        nodes += part_nodes - 1
+        if conflict is not None:
+            violated = (None, None) if conflict < 0 else (
+                net.maximal[conflict].display_name(),
+                tuple(net.labels[i] for i in net.contexts[conflict]))
+        if not count:
+            break
+    return nodes, violated
+
+
+def assert_component_result(got, want, parts, fixed, mode):
+    """`got` answers as the monolithic `want`; its nodes and its last
+    conflict are those of the per-component oracle."""
+    assert_same_answer(got, want)
+    assert (got.nodes_explored, (got.violated_context, got.violated_members)) \
+        == component_oracle(parts, fixed, mode)
 
 
 class TestKernelAgainstRecursiveOracle:
@@ -399,8 +415,12 @@ class TestKernelAgainstRecursiveOracle:
             want = search._merge(
                 net, [recursive_search_task(ps, net, seed, mode)], mode)
             assert_same_result(got, want)
-            assert_same_result(
-                admissible_assignments(ps, mode=mode, fixed=fixed), want)
+            public = admissible_assignments(ps, mode=mode, fixed=fixed)
+            assert_component_result(public, want, component_sets(ps), fixed,
+                                    mode)
+            if public.status == "SAT":
+                assert (public.violated_context, public.violated_members) == \
+                    (want.violated_context, want.violated_members)
             checked += 1
         assert checked == 133
 
@@ -412,25 +432,6 @@ class TestKernelAgainstRecursiveOracle:
             assert net.pairs == tuple(
                 tuple((j, first_shared_context(net, i, j)) for j in neighbours)
                 for i, neighbours in enumerate(oracle_adjacency(ps, net)))
-
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_same_result_on_every_split_prefix(self, workers, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-        for ps, fixed in itertools.islice(oracle_cases(), 0, None, 4):
-            net = search._build_network(ps)
-            for mode in ("first", "all", "count"):
-                SerialPool.prefixes = []
-                split = admissible_assignments(ps, mode=mode, workers=workers,
-                                               fixed=fixed)
-                if len(net.labels) <= len(fixed):
-                    continue
-                assert len(SerialPool.prefixes) > 1
-                parts = [recursive_search_task(ps, net, prefix, mode)
-                         for prefix in SerialPool.prefixes]
-                for prefix, part in zip(SerialPool.prefixes, parts):
-                    assert search._search_task(net, prefix, mode) == part
-                assert_same_result(split, search._merge(net, parts, mode))
 
     def test_thousands_of_free_variables_need_no_recursion(self):
         # pairwise non-orthogonal rays: (1, a) . (1, b) = 1 + ab > 0, so
@@ -445,25 +446,216 @@ class TestKernelAgainstRecursiveOracle:
         assert set(result.witness.values.values()) == {1}
 
 
-class TestPoolFallback:
-    def test_fallback_warns_and_matches_the_pool(self, c1c6, cabello18,
-                                                  monkeypatch):
-        def no_processes(max_workers):
-            raise PermissionError("process creation is not permitted")
+def interleaved_pairs():
+    """Two components in Q^3 whose labels interleave in decision order:
+    the orthogonal pairs {p1, p4} and {p2, p3}, each in no maximal
+    context, every other dot product 1."""
+    rays = {"p1": (1, 0, 0), "p4": (0, 1, 0), "p2": (1, 1, 1), "p3": (1, 1, -2)}
+    return ProjectorSet(3, {l: projector_from_span([r])
+                            for l, r in sorted(rays.items())})
 
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        for ps in (c1c6, cabello18):
+
+def cabello18_beside(extra: dict) -> ProjectorSet:
+    ps = builtin("cabello-18")
+    return ProjectorSet(4, {**ps.projectors,
+                            **{l: projector_from_span([r])
+                               for l, r in extra.items()}}, ps.contexts)
+
+
+# a triad of Q^4: mutually orthogonal, no dot product 0 with a cabello-18 ray
+GENERIC_TRIAD = {"T1": (0, 1, -2, 3), "T2": (2, -1, 1, 1), "T3": (3, 2, -2, -2)}
+
+# 1025 times a rational rotation of Q^4, whose image of cabello-18 is
+# orthogonal to none of its rays
+ROTATION = ((327, -804, 208, -504), (-156, 487, -24, -888),
+            (944, 312, -249, 12), (-168, -264, -972, -89))
+
+
+def monolithic(ps, fixed, mode):
+    """One `_search_task` over the whole network, merged as one part, and
+    checked against the recursive oracle."""
+    net = search._build_network(ps)
+    seed = search._seed_from_fixed(net, fixed)
+    result = search._merge(net, [search._search_task(net, seed, mode)], mode)
+    assert_same_result(result, search._merge(
+        net, [recursive_search_task(ps, net, seed, mode)], mode))
+    return result
+
+
+class TestComponents:
+    """Each component searched on its own answers as one search does."""
+
+    def test_seeded_split_corpora(self):
+        rng = Random(6006)
+        corpora = 0
+        statuses = []
+        while corpora < 200:
+            ps = random_split_corpus(rng, rng.randint(2, 4), max_rays=5)
+            parts = component_sets(ps)
+            if len(parts) < 2:
+                continue
+            corpora += 1
+            first, last = parts[0][1].labels[0], parts[-1][1].labels[-1]
+            fixings = [{}, {first: 1}, {last: 0}, {first: 0, last: 1}]
+            # two orthogonal 1s make their component UNSAT: in the first
+            # component with an edge, and in the last
+            edges = [pair for sub, _ in parts for pair in
+                     itertools.combinations(sub.projectors, 2)
+                     if pair[1] in orthogonality_graph(sub)[pair[0]]]
+            if edges:
+                fixings += [dict.fromkeys(edges[0], 1),
+                            dict.fromkeys(edges[-1], 1)]
+            for fixed in fixings:
+                for mode in ("first", "all", "count"):
+                    got = admissible_assignments(ps, mode=mode, fixed=fixed)
+                    assert_component_result(got, monolithic(ps, fixed, mode),
+                                            parts, fixed, mode)
+                    statuses.append(got.status)
+        assert statuses.count("SAT") == 2400
+        assert statuses.count("UNSAT") > 600
+
+    def test_interleaved_labels(self):
+        ps = interleaved_pairs()
+        net = search._build_network(ps)
+        assert net.labels == ("p1", "p2", "p3", "p4")
+        assert [sub.labels for sub, _ in search._components(net)] == \
+            [("p1", "p4"), ("p2", "p3")]
+        result = admissible_assignments(ps, mode="all")
+        # descending in (p1, p2, p3, p4), not component by component
+        assert [tuple(w.values.values()) for w in result.witnesses] == [
+            (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 1),
+            (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1),
+            (0, 0, 0, 0)]
+        for mode in ("first", "all", "count"):
+            assert_component_result(admissible_assignments(ps, mode=mode),
+                                    monolithic(ps, {}, mode),
+                                    component_sets(ps), {}, mode)
+
+    def test_unsat_component_beside_a_sat_triad(self):
+        ps = cabello18_beside(GENERIC_TRIAD)
+        parts = component_sets(ps)
+        assert [len(net.labels) for _, net in parts] == [18, 3]
+        alone = admissible_assignments(builtin("cabello-18"), mode="count")
+        for mode in ("first", "all", "count"):
+            result = admissible_assignments(ps, mode=mode)
+            assert result.status == "UNSAT" and result.witness is None
+            assert result.count == (None if mode == "first" else 0)
+            assert result.witnesses == (() if mode == "all" else None)
+            assert_component_result(result, monolithic(ps, {}, mode),
+                                    parts, {}, mode)
+        # the triad after the UNSAT component is never searched
+        assert result.nodes_explored == alone.nodes_explored
+        assert result.violated_members == alone.violated_members
+
+    def test_zero_projector_merges_the_components(self):
+        ps = ProjectorSet(3, {**interleaved_pairs().projectors,
+                              "z": projector_from_span([(0, 0, 0)])})
+        assert len(search._components(search._build_network(ps))) == 1
+        for mode in ("first", "all", "count"):
+            assert_same_result(admissible_assignments(ps, mode=mode),
+                               monolithic(ps, {}, mode))
+
+    def test_lone_identity_projector(self):
+        identity = projector_from_span([(1, 0), (0, 1)])
+        alone = ProjectorSet(2, {"I": identity})
+        result = admissible_assignments(alone, mode="all")
+        assert (result.count, result.nodes_explored) == (1, 1)
+        assert result.witnesses == (Assignment({"I": 1}),)
+        ps = ProjectorSet(2, {"I": identity, "r": projector_from_span([(1, 1)])})
+        assert len(component_sets(ps)) == 2
+        for fixed in ({}, {"I": 0}, {"r": 1}):
             for mode in ("first", "all", "count"):
-                monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-                pooled = admissible_assignments(ps, mode=mode, workers=4)
-                monkeypatch.setattr(search, "ProcessPoolExecutor", no_processes)
-                with pytest.warns(RuntimeWarning,
-                                  match="worker pool unavailable.*"
-                                        "process creation is not permitted"):
-                    fallback = admissible_assignments(ps, mode=mode, workers=4)
-                assert fallback == pooled
-                serial = admissible_assignments(ps, mode=mode)
-                assert (fallback.status, fallback.witness, fallback.count,
-                        fallback.witnesses) == \
-                    (serial.status, serial.witness, serial.count,
-                     serial.witnesses)
+                assert_component_result(
+                    admissible_assignments(ps, mode=mode, fixed=fixed),
+                    monolithic(ps, fixed, mode), component_sets(ps), fixed,
+                    mode)
+        assert admissible_assignments(ps, mode="count").count == 2
+        assert admissible_assignments(ps, fixed={"I": 0}).status == "UNSAT"
+
+    def test_pins_spread_across_components(self):
+        ps = interleaved_pairs()
+        parts = component_sets(ps)
+        for fixed in ({"p1": 0, "p2": 1}, {"p4": 1, "p3": 1},
+                      {"p1": 1, "p4": 1, "p2": 0}, {"p3": 0, "p4": 0}):
+            for mode in ("first", "all", "count"):
+                assert_component_result(
+                    admissible_assignments(ps, mode=mode, fixed=fixed),
+                    monolithic(ps, fixed, mode), parts, fixed, mode)
+        ps = cabello18_beside(GENERIC_TRIAD)
+        for fixed in ({"T2": 1, "P1_1": 1}, {"T1": 1, "T3": 1}):
+            for mode in ("first", "all", "count"):
+                assert_component_result(
+                    admissible_assignments(ps, mode=mode, fixed=fixed),
+                    monolithic(ps, fixed, mode), component_sets(ps), fixed,
+                    mode)
+
+    def test_last_conflict_on_sat_is_the_last_components(self):
+        # the first copy's all-zero branch ends in a conflict, so one
+        # search over the whole set meets its conflict last; searched
+        # apart, the second copy's conflict comes last
+        assert all(sum(a * b for a, b in zip(u, v)) == (1025 ** 2 if u is v else 0)
+                   for u in ROTATION for v in ROTATION)
+        c18 = builtin("cabello-18")
+        rays = {l: p.range_basis[0] for l, p in c18.projectors.items()}
+        ps = ProjectorSet(4, {
+            **{l: projector_from_span([r]) for l, r in rays.items()
+               if l != "P1_3"},
+            **{"Q" + l: projector_from_span(
+                [[sum(a * b for a, b in zip(row, r)) for row in ROTATION]])
+               for l, r in rays.items() if l != "P4_4"}})
+        parts = component_sets(ps)
+        assert len(parts) == 2
+        got = admissible_assignments(ps, mode="count")
+        want = monolithic(ps, {}, "count")
+        assert_same_answer(got, want)
+        assert got.status == "SAT"
+        assert set(want.violated_members) == {"P6_1", "P6_2", "P6_3", "P6_4"}
+        assert (got.violated_context, got.violated_members) == \
+            component_oracle(parts, {}, "count")[1]
+        assert set(got.violated_members) == \
+            {"QP6_1", "QP6_2", "QP6_3", "QP6_4"}
+
+    def test_localize_with_a_sat_component_before_an_unsat_one(self):
+        # the rotated copy minus one ray is SAT and its labels sort before
+        # "P", so at equal context degree it comes first in decision order;
+        # the witness it yields must not survive the UNSAT cabello-18
+        c18 = builtin("cabello-18")
+        rays = {l: p.range_basis[0] for l, p in c18.projectors.items()}
+        ps = ProjectorSet(4, {
+            **{l: projector_from_span([r]) for l, r in rays.items()},
+            **{"A" + l: projector_from_span(
+                [[sum(a * b for a, b in zip(row, r)) for row in ROTATION]])
+               for l, r in rays.items() if l != "P4_4"}})
+        parts = component_sets(ps)
+        assert [net.labels[0][0] for _, net in parts] == ["A", "P"]
+        assert [admissible_assignments(sub).status for sub, _ in parts] == \
+            ["SAT", "UNSAT"]
+        for fixed in ({}, {"AP1_1": 1}, {"AP1_1": 0}):
+            verdicts = localized_indefiniteness_certificate(ps, fixed)
+            assert set(verdicts.values()) == {PinVerdict.BOTH_CONTRADICT}
+            assert list(verdicts.items()) == \
+                list(plain_certificate(ps, fixed).items())
+
+    def test_localize_searches_one_component_per_pin(self, monkeypatch):
+        searched = []
+        original = search._search_task
+        monkeypatch.setattr(search, "_search_task", lambda net, *a: (
+            searched.append(frozenset(net.labels)) or original(net, *a)))
+        rng = Random(4242)
+        corpora = 0
+        while corpora < 40:
+            ps = random_split_corpus(rng, rng.randint(2, 4), max_rays=5)
+            components = {frozenset(net.labels) for _, net in component_sets(ps)}
+            if len(components) < 2:
+                continue
+            corpora += 1
+            first = sorted(ps.projectors)[0]
+            for fixed in ({}, {first: 1}, {first: 0}):
+                searched.clear()
+                try:
+                    verdicts = localized_indefiniteness_certificate(ps, fixed)
+                except InconsistentAssignmentError:
+                    continue
+                assert set(searched) <= components
+                assert list(verdicts.items()) == \
+                    list(plain_certificate(ps, fixed).items())
