@@ -13,6 +13,7 @@ for a coloring.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -181,9 +182,8 @@ def _cmd_color(args, cf, ps):
         payload["witness"] = witness
         lines.append("witness: " + " ".join(f"{l}={v}" for l, v in witness.items()))
     if args.mode == "all" and result.witnesses is not None:
-        payload["witnesses"] = [
-            {l: w.values[l] for l in sorted(w.values)} for w in result.witnesses
-        ]
+        # the renderer sorts each witness's labels
+        payload["witnesses"] = [dict(w.values) for w in result.witnesses]
     if result.status == "UNSAT" and result.violated_context:
         payload["last_violated_context"] = result.violated_context
         payload["last_violated_members"] = list(result.violated_members or ())
@@ -245,6 +245,52 @@ def _cmd_localize(args, cf, ps):
         members = groups.get(kind, [])
         lines.append(f"{kind}: " + (" ".join(members) if members else "none"))
     return payload, lines, EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------------
+
+_CONTAINERS = (dict, list, tuple)     # what the encoder writes as {} or []
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """Writes a container whose items sit at `depth` + 1, in C."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _render_json(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for a
+    tree of dicts with string keys, lists and scalars.
+
+    `indent` sends the stdlib to its pure-Python encoder; with `indent`
+    left at None it encodes in C.  So a flat container (one that holds no
+    container) is encoded in C with the item separator ",\\n" plus the
+    indentation of its items, and only its first and last brackets are
+    padded here.  That is exact because the encoder escapes every control
+    character inside strings, so each raw newline is a separator's.
+    """
+    encoder = _flat_encoder(depth)
+    if not isinstance(obj, _CONTAINERS):
+        return encoder.encode(obj)
+    is_dict = isinstance(obj, dict)
+    inner, outer = "  " * (depth + 1), "  " * depth
+    # one subclass test per distinct item type, not per item
+    if not any(issubclass(t, _CONTAINERS)
+               for t in set(map(type, obj.values() if is_dict else obj))):
+        flat = encoder.encode(obj)
+        if not obj:
+            return flat
+        return f"{flat[0]}\n{inner}{flat[1:-1]}\n{outer}{flat[-1]}"
+    if is_dict:
+        parts = [f"{encoder.encode(k)}: {_render_json(v, depth + 1)}"
+                 for k, v in sorted(obj.items())]
+    else:
+        parts = [_render_json(v, depth + 1) for v in obj]
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{closing}"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +381,7 @@ def main(argv=None) -> int:
         "exit_status": status,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_render_json(report))
     else:
         summary = report["corpus"]
         print(f"corpus: {summary['source']} (dim {summary['dimension']}, "

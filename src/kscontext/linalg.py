@@ -385,7 +385,7 @@ class Projector:
     use; the state valuations are read from that one.
     """
 
-    __slots__ = ("_matrix", "_label", "_basis", "_ortho")
+    __slots__ = ("_matrix", "_label", "_dim", "_basis", "_ortho")
 
     def __init__(self, matrix: Matrix, label: str | None = None):
         if not matrix.is_square():
@@ -396,6 +396,7 @@ class Projector:
             raise ValueError("projector matrix must be idempotent")
         self._matrix = matrix
         self._label = label
+        self._dim = matrix.nrows
         self._basis: tuple[tuple[int, ...], ...] | None = None
         self._ortho: tuple[tuple[int, ...], ...] | None = None
 
@@ -417,7 +418,7 @@ class Projector:
 
     @property
     def dim(self) -> int:
-        return self._matrix.nrows
+        return self._dim
 
     @property
     def range_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -453,7 +454,7 @@ class Projector:
         """The same operator under another label.  The copy shares the
         already verified matrix and both range bases; nothing is rechecked."""
         twin = object.__new__(Projector)
-        twin._matrix, twin._label = self._matrix, label
+        twin._matrix, twin._label, twin._dim = self._matrix, label, self._dim
         twin._basis, twin._ortho = self._basis, self._ortho
         return twin
 
@@ -582,7 +583,12 @@ def is_orthogonal(p: Projector, q: Projector) -> bool:
     orthocomplement of ran(p); so it is decided by integer dot products
     between the two range bases, every one of which must be 0.
     """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return not any(sum(map(operator.mul, u, v))
-                   for u in p.range_basis for v in q.range_basis)
+    dp, dq = p._dim, q._dim
+    if dp != dq:
+        raise ValueError(f"dimension mismatch: {dp} vs {dq}")
+    q_basis = q.range_basis
+    for u in p.range_basis:
+        for v in q_basis:
+            if sum(map(operator.mul, u, v)):
+                return False
+    return True

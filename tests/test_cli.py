@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kscontext
-from kscontext import contexts
+from kscontext import (admissible_assignments, cli, contexts, emit,
+                       find_maximal_contexts)
 from kscontext.cli import main
+
+from _gen import peres24, random_split_corpus
 
 SRC = str(Path(kscontext.__file__).resolve().parent.parent)
 
@@ -327,3 +333,99 @@ class TestJsonFormat:
         assert payload["result"]["status"] == "UNSAT"
         assert payload["result"]["count"] == 0
         assert payload["result"]["nodes_explored"] > 0
+
+
+def stdlib_render(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def assert_renders_like_stdlib(capsys, monkeypatch, *argv):
+    """One JSON call, then the same call with the standard library's
+    `indent` encoder as the renderer: stdout, stderr and status agree."""
+    got = run(capsys, *argv, "--format", "json")
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_render_json", stdlib_render)
+        want = run(capsys, *argv, "--format", "json")
+    assert got == want
+    return got
+
+
+@pytest.fixture(scope="module")
+def peres_file(tmp_path_factory):
+    ps = peres24()
+    tetrads = "".join(f"context T{i:02d} = {' '.join(c.members)}\n"
+                      for i, c in enumerate(find_maximal_contexts(ps), start=1))
+    path = tmp_path_factory.mktemp("peres") / "peres24.pset"
+    path.write_text(emit(ps) + tetrads + "state s = 1 1 0 0\n")
+    return path
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028'
+                                     'é€😀{}[],: ') | st.characters())
+_JSON_SCALARS = (st.none() | st.booleans() | st.floats() | _JSON_TEXT
+                 | st.integers(min_value=-10 ** 80, max_value=10 ** 80))
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonRendering:
+    """The report renderer against `json.dumps(indent=2, sort_keys=True)`."""
+
+    @pytest.mark.parametrize("source", ["cabello-c1c6", "cabello-18", "peres"])
+    def test_every_command_renders_like_stdlib(self, capsys, monkeypatch,
+                                               peres_file, source):
+        src = [str(peres_file)] if source == "peres" else ["--builtin", source]
+        first, second = ("p00", "p01") if source == "peres" else ("P1_1", "P1_2")
+        calls = [["validate"],
+                 ["localize"], ["localize", "--fix", f"{first}=1"],
+                 ["localize", "--fix", f"{first}=1,{second}=1"]]
+        calls += [["color", "--mode", mode] for mode in ("first", "all", "count")]
+        calls += [["eval", "--state", state, "--semantics", semantics]
+                  for state in ("0,0,0,1", "1/2,-1,1,1")
+                  for semantics in ("bivalent", "born")]
+        statuses = set()
+        for command, *rest in calls:
+            status, out, err = assert_renders_like_stdlib(
+                capsys, monkeypatch, command, *src, *rest)
+            assert err == ""
+            statuses.add(status)
+        assert 0 in statuses
+
+    def test_thousands_of_witnesses_render_like_stdlib(self, capsys,
+                                                       monkeypatch, tmp_path):
+        ps = random_split_corpus(Random(12), 3)
+        count = admissible_assignments(ps, mode="count").count
+        assert count >= 1000
+        path = tmp_path / "split.pset"
+        path.write_text(emit(ps))
+        status, out, _ = assert_renders_like_stdlib(
+            capsys, monkeypatch, "color", str(path), "--mode", "all")
+        assert status == 0
+        assert len(json.loads(out)["result"]["witnesses"]) == count
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                        reason="no C accelerator in this interpreter")
+    def test_reports_skip_the_pure_python_encoder(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        status, out, err = run(capsys, "color", "--builtin", "cabello-c1c6",
+                               "--mode", "all", "--format", "json")
+        monkeypatch.undo()
+        assert status == 0 and err == ""
+        assert out == stdlib_render(json.loads(out)) + "\n"
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_JSON_TREES)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [], "c": [[]], "d": [{}, ()]})
+    @example({"k": "line\nbreak, \"quoted\" \\ ü", "n": [1, 2.5, None, True]})
+    @example([float("nan"), float("inf"), -0.0, 10 ** 70, False])
+    def test_trees_render_like_stdlib(self, tree):
+        assert cli._render_json(tree) == stdlib_render(tree)

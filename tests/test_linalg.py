@@ -198,6 +198,15 @@ class TestOrthogonality:
     def test_zero_orthogonal_to_all(self):
         assert is_orthogonal(Projector(P6_1), Projector.zero(4))
 
+    def test_dimension_mismatch(self):
+        # also when a range basis is empty and no dot product is taken
+        ray = projector_from_span([(1, 0, 1, 0)], "a").relabel("b")
+        assert ray.dim == 4
+        for p, q in ((ray, Projector.zero(3)), (Projector.zero(2), ray),
+                     (Projector.identity(3), Projector(P1_1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                is_orthogonal(p, q)
+
     def test_one_product_matches_both_products(self):
         def both_products(p, q):
             return ((p.matrix @ q.matrix).is_zero()
