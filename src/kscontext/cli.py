@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -182,8 +183,8 @@ def _cmd_color(args, cf, ps):
         payload["witness"] = witness
         lines.append("witness: " + " ".join(f"{l}={v}" for l, v in witness.items()))
     if args.mode == "all" and result.witnesses is not None:
-        # the renderer sorts each witness's labels
-        payload["witnesses"] = [dict(w.values) for w in result.witnesses]
+        # plain dicts from the search, no copies; the renderer sorts labels
+        payload["witnesses"] = [w.values for w in result.witnesses]
     if result.status == "UNSAT" and result.violated_context:
         payload["last_violated_context"] = result.violated_context
         payload["last_violated_members"] = list(result.violated_members or ())
@@ -261,6 +262,11 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
                             separators=(",\n" + "  " * (depth + 1), ": "))
 
 
+def _holds_no_container(kinds) -> bool:
+    """No container among items of these types: one subclass test per type."""
+    return not any(issubclass(t, _CONTAINERS) for t in kinds)
+
+
 def _render_json(obj, depth: int = 0) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for a
     tree of dicts with string keys, lists and scalars.
@@ -269,21 +275,30 @@ def _render_json(obj, depth: int = 0) -> str:
     left at None it encodes in C.  So a flat container (one that holds no
     container) is encoded in C with the item separator ",\\n" plus the
     indentation of its items, and only its first and last brackets are
-    padded here.  That is exact because the encoder escapes every control
-    character inside strings, so each raw newline is a separator's.
+    padded here.  A list of non-empty flat dicts and lists is encoded in
+    one call the same way, with the separator of its items' items, and
+    the joints between its items are re-indented.  That is exact because
+    the encoder escapes every control character inside strings, so each
+    raw newline is a separator's, and a separator between a closing and
+    an opening bracket joins two items: inside a flat container it
+    follows a scalar.
     """
     encoder = _flat_encoder(depth)
     if not isinstance(obj, _CONTAINERS):
         return encoder.encode(obj)
     is_dict = isinstance(obj, dict)
     inner, outer = "  " * (depth + 1), "  " * depth
-    # one subclass test per distinct item type, not per item
-    if not any(issubclass(t, _CONTAINERS)
-               for t in set(map(type, obj.values() if is_dict else obj))):
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    if _holds_no_container(kinds):
         flat = encoder.encode(obj)
         if not obj:
             return flat
         return f"{flat[0]}\n{inner}{flat[1:-1]}\n{outer}{flat[-1]}"
+    if (not is_dict and kinds <= {dict, list, tuple} and all(obj)
+            and _holds_no_container(set(map(type, itertools.chain.from_iterable(
+                item.values() if type(item) is dict else item
+                for item in obj))))):
+        return _render_flat_items(obj, depth, kinds)
     if is_dict:
         parts = [f"{encoder.encode(k)}: {_render_json(v, depth + 1)}"
                  for k, v in sorted(obj.items())]
@@ -291,6 +306,21 @@ def _render_json(obj, depth: int = 0) -> str:
         parts = [_render_json(v, depth + 1) for v in obj]
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{closing}"
+
+
+def _render_flat_items(items, depth: int, kinds) -> str:
+    """`_render_json` of a list of non-empty flat containers whose types
+    are `kinds`: one C encoding, then each joint of a closing bracket,
+    ",\\n" plus the items' items' indentation and an opening bracket is
+    re-indented, as are the first opening and the last closing bracket."""
+    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
+    text = _flat_encoder(depth + 1).encode(items)
+    brackets = {"{}" if kind is dict else "[]" for kind in kinds}
+    for (_, closing), (opening, _) in itertools.product(brackets, repeat=2):
+        text = text.replace(f"{closing},\n{deeper}{opening}",
+                            f"\n{inner}{closing},\n{inner}{opening}\n{deeper}")
+    return (f"[\n{inner}{text[1]}\n{deeper}{text[2:-2]}"
+            f"\n{inner}{text[-2]}\n{'  ' * depth}]")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -33,6 +34,8 @@ from .contexts import (Context, ProjectorSet, UnknownLabelError,
                        find_maximal_contexts, orthogonality_graph)
 
 Mode = Literal["first", "all", "count"]
+
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,11 @@ class Assignment:
     values: Mapping[str, int]
 
     def __post_init__(self):
+        try:
+            if _BITS.issuperset(self.values.values()):   # in C
+                return
+        except TypeError:       # an unhashable value, judged below
+            pass
         bad = {k: v for k, v in self.values.items() if v not in (0, 1)}
         if bad:
             raise ValueError(f"assignment values must be 0 or 1, got {bad}")
@@ -245,7 +253,7 @@ def _record_solution(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
     if acc.first is None:
         acc.first = dict(zip(net.labels, values))
     if mode == "all":
-        acc.solutions.append(dict(zip(net.labels, values)))
+        acc.solutions.append(tuple(values))
     return mode == "first"
 
 
@@ -290,8 +298,9 @@ def _dfs(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
 
 
 def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
-    """Exhaust the network under `seed`: (count, first witness, witnesses,
-    nodes, last conflict as an index into `net.maximal`)."""
+    """Exhaust the network under `seed`: (count, first witness as a dict,
+    witnesses as value tuples in decision order, nodes, last conflict as
+    an index into `net.maximal`)."""
     acc = _Acc()
     values: list = [None] * len(net.labels)
     trail: list[int] = []
@@ -390,12 +399,13 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
             conflict = p[4]
     witness = solutions = None
     if count:
-        witness = dict(zip(net.labels, _values(net, [p[1] for p in parts])))
+        row = _row_builder(net, [p[1] for p in parts])
+        witness = dict(zip(net.labels,
+                           row([tuple(p[1].values()) for p in parts])))
         if mode == "all":
-            rows = sorted((_values(net, combo) for combo in
-                           itertools.product(*(p[2] for p in parts))),
+            rows = sorted(map(row, itertools.product(*(p[2] for p in parts))),
                           reverse=True)
-            solutions = [dict(zip(net.labels, row)) for row in rows]
+            solutions = [dict(zip(net.labels, r)) for r in rows]
     violated_name = None
     violated_members = None
     if conflict is not None and conflict >= 0:
@@ -406,20 +416,27 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
         witness=Assignment(witness) if witness else None,
         nodes_explored=nodes,
         count=None if mode == "first" else count,
-        witnesses=tuple(Assignment(s) for s in solutions or ())
+        witnesses=tuple(map(Assignment, solutions or ()))
         if mode == "all" else None,
         violated_context=violated_name,
         violated_members=violated_members,
     )
 
 
-def _values(net: _Network, witnesses) -> list[int]:
-    """The union of witnesses on disjoint labels, as values in decision
-    order."""
-    union: dict[str, int] = {}
-    for w in witnesses:
-        union.update(w)
-    return [union[l] for l in net.labels]
+def _row_builder(net: _Network, firsts):
+    """A function from one value tuple per component to the values of
+    `net` in decision order.  A component's values follow its own
+    decision order, which its first witness `firsts[k]` lists."""
+    joined = [l for first in firsts for l in first]
+    if joined == list(net.labels):      # also when there are 0 or 1 labels
+        return _concat
+    position = {l: i for i, l in enumerate(joined)}
+    pick = operator.itemgetter(*map(position.__getitem__, net.labels))
+    return lambda combo: pick(_concat(combo))
+
+
+def _concat(tuples) -> tuple:
+    return tuple(itertools.chain.from_iterable(tuples))
 
 
 def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):

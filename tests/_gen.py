@@ -364,8 +364,7 @@ def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
         if acc["first"] is None:
             acc["first"] = {net.labels[i]: values[i] for i in range(len(values))}
         if mode == "all":
-            acc["solutions"].append(
-                {net.labels[i]: values[i] for i in range(len(values))})
+            acc["solutions"].append(tuple(values))
         return mode == "first"
 
     def dfs(values):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter, OrderedDict
 from pathlib import Path
 from random import Random
 
@@ -339,13 +340,13 @@ def stdlib_render(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def assert_renders_like_stdlib(capsys, monkeypatch, *argv):
-    """One JSON call, then the same call with the standard library's
-    `indent` encoder as the renderer: stdout, stderr and status agree."""
-    got = run(capsys, *argv, "--format", "json")
+def assert_renders_like_stdlib(capsys, monkeypatch, *argv, fmt="json"):
+    """One call, then the same call with the standard library's `indent`
+    encoder as the renderer: stdout, stderr and status agree."""
+    got = run(capsys, *argv, "--format", fmt)
     with monkeypatch.context() as patched:
         patched.setattr(cli, "_render_json", stdlib_render)
-        want = run(capsys, *argv, "--format", "json")
+        want = run(capsys, *argv, "--format", fmt)
     assert got == want
     return got
 
@@ -364,12 +365,24 @@ _JSON_TEXT = st.text(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028'
                                      'é€😀{}[],: ') | st.characters())
 _JSON_SCALARS = (st.none() | st.booleans() | st.floats() | _JSON_TEXT
                  | st.integers(min_value=-10 ** 80, max_value=10 ** 80))
+# lists of flat containers, some empty, which render in one encoder call
+# when none is empty
+_FLAT_ITEMS = st.lists(
+    st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=4)
+    | st.lists(_JSON_SCALARS, min_size=1, max_size=4)
+    | st.lists(_JSON_SCALARS, min_size=1, max_size=3).map(tuple)
+    | st.sampled_from([{}, [], ()]), min_size=1, max_size=6)
 _JSON_TREES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _FLAT_ITEMS,
     lambda kids: (st.lists(kids, max_size=4)
                   | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
     max_leaves=40)
+
+# the corpora with the fewest labels: no label, one ray, the identity
+_TINY_PSETS = {"empty": "dim 2\n",
+               "one-ray": "dim 3\nvec a = 1 2 3\n",
+               "identity": "dim 2\nvec a = 1 0\nvec b = 0 1\nspan I = a b\n"}
 
 
 class TestJsonRendering:
@@ -407,6 +420,54 @@ class TestJsonRendering:
         assert status == 0
         assert len(json.loads(out)["result"]["witnesses"]) == count
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    @pytest.mark.parametrize("name", sorted(_TINY_PSETS))
+    def test_tiny_sets_render_like_stdlib(self, capsys, monkeypatch,
+                                          tmp_path, name, mode, fmt):
+        path = tmp_path / f"{name}.pset"
+        path.write_text(_TINY_PSETS[name])
+        status, out, err = assert_renders_like_stdlib(
+            capsys, monkeypatch, "color", str(path), "--mode", mode, fmt=fmt)
+        assert (status, err) == (0, "")
+        if fmt == "json" and mode == "all":
+            assert json.loads(out)["result"]["witnesses"] == {
+                "empty": [{}], "one-ray": [{"a": 1}, {"a": 0}],
+                "identity": [{"I": 1}]}[name]
+
+    def test_flat_items_take_one_encoder_call(self, monkeypatch):
+        encoded = []
+        encoder = cli._flat_encoder
+
+        class Counting:
+            def __init__(self, depth):
+                self.encoder = encoder(depth)
+
+            def encode(self, obj):
+                encoded.append(obj)
+                return self.encoder.encode(obj)
+
+        monkeypatch.setattr(cli, "_flat_encoder", Counting)
+        witnesses = [{"b": k % 2, "a": k // 2 % 2} for k in range(1000)]
+        report = {"result": {"witnesses": witnesses}}
+        assert cli._render_json(report) == stdlib_render(report)
+        assert encoded.count(witnesses) == 1
+        assert not any(w in encoded for w in witnesses[:4])
+
+    def test_witnesses_reach_the_renderer_uncopied(self, capsys, monkeypatch):
+        results, reports = [], []
+        search = cli.admissible_assignments
+        monkeypatch.setattr(cli, "admissible_assignments",
+                            lambda *a, **k: results.append(search(*a, **k))
+                            or results[-1])
+        monkeypatch.setattr(cli, "_render_json",
+                            lambda report: reports.append(report) or "")
+        run(capsys, "color", "--builtin", "cabello-c1c6", "--mode", "all",
+            "--format", "json")
+        rendered = reports[0]["result"]["witnesses"]
+        assert len(rendered) == results[0].count > 1
+        assert all(r is w.values for r, w in zip(rendered, results[0].witnesses))
+
     @pytest.mark.skipif(json.encoder.c_make_encoder is None,
                         reason="no C accelerator in this interpreter")
     def test_reports_skip_the_pure_python_encoder(self, capsys, monkeypatch):
@@ -427,5 +488,11 @@ class TestJsonRendering:
     @example({"a": {}, "b": [], "c": [[]], "d": [{}, ()]})
     @example({"k": "line\nbreak, \"quoted\" \\ ü", "n": [1, 2.5, None, True]})
     @example([float("nan"), float("inf"), -0.0, 10 ** 70, False])
+    @example([{"a": "},\n  {"}, {"b": "]"}, {"c": "}, {"}])
+    @example({"w": [[1, "],["], {"k": "}, {", "j": 0}, ("[", "{")]})
+    @example({"w": [{"a": 0, "b": 1}, [True, None], ("s",)], "e": [{"x": 1}, {}]})
+    @example([[{"a": 1}], {"b": [2]}])
+    @example([OrderedDict(a=[1]), OrderedDict(b=2)])
+    @example({"w": [Counter(a=1, b=0), Counter(c=1)]})
     def test_trees_render_like_stdlib(self, tree):
         assert cli._render_json(tree) == stdlib_render(tree)

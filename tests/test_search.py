@@ -79,6 +79,28 @@ class TestCheckAssignment:
             Assignment({"P1_1": 2})
 
 
+class TestAssignmentValues:
+    """`Assignment` takes exactly the values equal to 0 or 1."""
+
+    @pytest.mark.parametrize("value", [2, -1, None, "1", 0.5, [1]])
+    def test_rejected_with_the_offending_values(self, value):
+        message = f"assignment values must be 0 or 1, got {{'b': {value!r}}}"
+        with pytest.raises(ValueError) as err:
+            Assignment({"a": 1, "b": value, "c": 0})
+        assert str(err.value) == message
+
+    def test_every_offending_value_is_named(self):
+        with pytest.raises(ValueError) as err:
+            Assignment({"a": [1], "b": 1, "c": {0}, "d": "0"})
+        assert str(err.value) == ("assignment values must be 0 or 1, got "
+                                  "{'a': [1], 'c': {0}, 'd': '0'}")
+
+    @pytest.mark.parametrize("value", [0, 1, True, 1.0])
+    def test_accepted_and_kept(self, value):
+        assert Assignment({"a": value, "b": 0}).values == {"a": value, "b": 0}
+        assert Assignment({}).values == {}
+
+
 class TestAdmissibleAssignments:
     def test_single_context_has_four_witnesses(self):
         ps = single_context_corpus()
@@ -571,6 +593,28 @@ class TestComponents:
                     mode)
         assert admissible_assignments(ps, mode="count").count == 2
         assert admissible_assignments(ps, fixed={"I": 0}).status == "UNSAT"
+
+    @pytest.mark.parametrize("case", ["empty", "one ray", "identity",
+                                      "interleaved", "split", "connected"])
+    def test_all_witnesses_are_plain_dicts_in_decision_order(self, case):
+        ps = {"empty": lambda: ProjectorSet(2, {}),
+              "one ray": lambda: ProjectorSet(3, {
+                  "a": projector_from_span([(1, 2, 3)])}),
+              "identity": lambda: ProjectorSet(2, {
+                  "I": projector_from_span([(1, 0), (0, 1)])}),
+              "interleaved": interleaved_pairs,
+              "split": lambda: random_split_corpus(Random(12), 3),
+              "connected": single_context_corpus}[case]()
+        labels = list(search._build_network(ps).labels)
+        result = admissible_assignments(ps, mode="all")
+        assert len(result.witnesses) == result.count > 0
+        for w in result.witnesses:
+            assert type(w.values) is dict
+            assert list(w.values) == labels
+        assert len(set(result.witnesses)) == result.count
+        if not labels:      # the empty assignment, but no witness to show
+            assert result.witnesses == (Assignment({}),)
+            assert result.witness is None
 
     def test_pins_spread_across_components(self):
         ps = interleaved_pairs()
