@@ -166,7 +166,7 @@ def _cmd_validate(args, cf, ps):
 
 
 def _cmd_color(args, cf, ps):
-    result = admissible_assignments(ps, mode=args.mode, workers=args.workers)
+    result = admissible_assignments(ps, mode=args.mode)
     payload = {
         "mode": args.mode,
         "workers": args.workers,
@@ -181,7 +181,7 @@ def _cmd_color(args, cf, ps):
     if result.witness is not None and args.mode in ("first", "all"):
         witness = {l: result.witness.values[l] for l in sorted(result.witness.values)}
         payload["witness"] = witness
-        lines.append("witness: " + " ".join(f"{l}={v}" for l, v in witness.items()))
+        lines.append(" ".join(["witness:", *(f"{l}={v}" for l, v in witness.items())]))
     if args.mode == "all" and result.witnesses is not None:
         # plain dicts from the search, no copies; the renderer sorts labels
         payload["witnesses"] = [w.values for w in result.witnesses]

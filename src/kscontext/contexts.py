@@ -11,9 +11,11 @@ over.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Projector, is_orthogonal
 
@@ -178,44 +180,89 @@ def is_maximal(ps: ProjectorSet, ctx: Context | Iterable[str]) -> bool:
     return validate_context(ps, members).maximal
 
 
-def orthogonality_graph(ps: ProjectorSet) -> Mapping[str, frozenset[str]]:
+def orthogonality_graph(ps: ProjectorSet) -> OrthogonalityGraph:
     """Adjacency of the (undirected) orthogonality relation between labels;
     computed once per set, read-only."""
     if ps._graph is not None:
         return ps._graph
-    items = list(ps.projectors.items())
-    adj: dict[str, set[str]] = {l: set() for l, _ in items}
-    for i, (a, p) in enumerate(items):
-        neighbours = adj[a]
-        for b, q in items[i + 1:]:
+    projectors = tuple(ps.projectors.values())
+    bits = [0] * len(projectors)
+    for i, p in enumerate(projectors):
+        for j, q in enumerate(projectors[i + 1:], i + 1):
             if is_orthogonal(p, q):
-                neighbours.add(b)
-                adj[b].add(a)
-    ps._graph = MappingProxyType({l: frozenset(s) for l, s in adj.items()})
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+    ps._graph = OrthogonalityGraph(tuple(ps.projectors), tuple(bits))
     return ps._graph
 
 
-def _pivot(adj: Mapping[str, frozenset[str]], candidates: set[str],
-           excluded: set[str]) -> str:
-    """The first vertex in label order among candidates and excluded with
+class OrthogonalityGraph(Mapping):
+    """The orthogonality relation of a set, held once: bit j of `bits[i]`
+    is set when the projectors at positions i and j of the set are
+    orthogonal.  As a read-only mapping it gives each label the frozenset
+    of its neighbours, decoded when read."""
+
+    __slots__ = ("labels", "bits", "_position")
+
+    def __init__(self, labels: tuple[str, ...], bits: tuple[int, ...]):
+        self.labels = labels
+        self.bits = bits
+        self._position = {l: i for i, l in enumerate(labels)}
+
+    def __getitem__(self, label: str) -> frozenset[str]:
+        return frozenset(_members(self.labels, self.bits[self._position[label]]))
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def components(self) -> list[tuple[str, ...]]:
+        """The connected components, each in set order, in order of their
+        first label."""
+        parts = []
+        unseen = (1 << len(self.labels)) - 1
+        while unseen:
+            part = frontier = unseen & -unseen
+            while frontier:
+                reach = 0
+                for row in _members(self.bits, frontier):
+                    reach |= row
+                frontier = reach & ~part
+                part |= frontier
+            unseen &= ~part
+            parts.append(tuple(_members(self.labels, part)))
+        return parts
+
+
+# bin() digits, lowest bit first, as the bytes 0 and 1 for `compress`
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items: Sequence, bits: int) -> Iterator:
+    """The items at the positions of the set bits, in order."""
+    return compress(items, bin(bits)[:1:-1].encode().translate(_FLAGS))
+
+
+def _pivot(adj: Sequence[int], candidates: int, excluded: int) -> int:
+    """The first vertex in set order among candidates and excluded with
     the most neighbours among the candidates.
 
     No vertex is its own neighbour, so a candidate has at most
-    len(candidates) - 1 of them and an excluded vertex at most
-    len(candidates); the scan stops once no later vertex can score more
-    than the best so far, which keeps a long chain of nested cliques
+    popcount(candidates) - 1 of them and an excluded vertex at most
+    popcount(candidates); the scan stops once no later vertex can score
+    more than the best so far, which keeps a long chain of nested cliques
     quadratic rather than cubic.
     """
-    order = sorted(candidates | excluded)
-    last_excluded = max((i for i, v in enumerate(order) if v in excluded),
-                        default=-1)
-    top = len(candidates)
-    best, best_score = order[0], -1
-    for i, v in enumerate(order):
-        score = len(adj[v] & candidates)
+    top = candidates.bit_count()
+    last_excluded = excluded.bit_length() - 1
+    best, best_score = -1, -1
+    for v in _members(range(len(adj)), candidates | excluded):
+        score = (adj[v] & candidates).bit_count()
         if score > best_score:
             best, best_score = v, score
-        if best_score >= (top if i < last_excluded else top - 1):
+        if best_score >= (top if v < last_excluded else top - 1):
             break
     return best
 
@@ -224,52 +271,53 @@ def find_maximal_contexts(ps: ProjectorSet) -> tuple[Context, ...]:
     """All maximal contexts hiding in the set.
 
     Enumerates inclusion-maximal cliques of the orthogonality graph
-    (Bron-Kerbosch with pivoting), then keeps those with at least two
-    members whose ranks fill the space (the members of a clique are
-    already pairwise orthogonal).  Output is deterministic:
+    (Bron-Kerbosch with pivoting, on its bitsets), then keeps those with
+    at least two members whose ranks fill the space (the members of a
+    clique are already pairwise orthogonal).  Output is deterministic:
     members sorted by label, contexts sorted by member tuple.  A clique
     matching a declared context is returned with the declared label and
     member order.  Computed once per set.
     """
     if ps._maximal is not None:
         return ps._maximal
-    adj = orthogonality_graph(ps)
-    cliques: list[frozenset[str]] = []
-    # one frame per open call: (clique, candidates, excluded, branches left);
-    # a clique as deep as the set needs no Python recursion
-    stack: list[tuple] = []
+    graph = orthogonality_graph(ps)
+    adj = graph.bits
+    cliques: list[int] = []
+    # one frame per open call: [clique, candidates, excluded, branches
+    # left]; a clique as deep as the set needs no Python recursion
+    stack: list[list] = []
 
-    def enter(clique: frozenset[str], candidates: set[str], excluded: set[str]):
+    def enter(clique: int, candidates: int, excluded: int):
         if not candidates and not excluded:
             cliques.append(clique)
             return
         pivot = _pivot(adj, candidates, excluded)
-        stack.append((clique, candidates, excluded,
-                      iter(sorted(candidates - adj[pivot]))))
+        stack.append([clique, candidates, excluded,
+                      _members(range(len(adj)), candidates & ~adj[pivot])])
 
-    enter(frozenset(), set(ps.projectors), set())
+    enter(0, (1 << len(adj)) - 1, 0)
     while stack:
-        clique, candidates, excluded, branches = stack[-1]
+        frame = stack[-1]
+        clique, candidates, excluded, branches = frame
         v = next(branches, None)
         if v is None:
             stack.pop()
             continue
-        # the branch gets its own sets, so v can leave this frame at once
-        child = (clique | {v}, candidates & adj[v], excluded & adj[v])
-        candidates.remove(v)
-        excluded.add(v)
-        enter(*child)
+        # the branch gets the sets as they were, v leaves this frame at once
+        frame[1], frame[2] = candidates & ~(1 << v), excluded | (1 << v)
+        enter(clique | (1 << v), candidates & adj[v], excluded & adj[v])
 
     declared = {frozenset(c.members): c for c in ps.contexts}
     found = []
     for clique in cliques:
-        if len(clique) < 2 or not _fills_space(ps, clique):
+        members = frozenset(_members(graph.labels, clique))
+        if len(members) < 2 or not _fills_space(ps, members):
             continue
-        if clique in declared:
-            found.append(declared[clique])
+        if members in declared:
+            found.append(declared[members])
         else:
-            members = tuple(sorted(clique))
-            found.append(Context(members, maximal=True, label=None))
+            found.append(Context(tuple(sorted(members)), maximal=True,
+                                 label=None))
     found.sort(key=lambda c: tuple(sorted(c.members)))
     ps._maximal = tuple(found)
     return ps._maximal

@@ -10,15 +10,17 @@ certificates, never heuristic.
 
 Every constraint lives inside one connected component of the
 orthogonality graph (a maximal context is a clique, a forced value
-touches one projector), so the search runs on each component on its own
-and combines them: UNSAT iff some component is UNSAT, the model count is
-the product of the component counts, and the witnesses are the
-Cartesian product of the component witnesses, in the order a single
-search over the whole set finds them.  `nodes_explored` is one root for
-the whole search plus, for every component searched, its nodes less its
-own root.  Components are searched in order of their lowest decision
-index, up to the first UNSAT one; `violated_context` is the last
-conflict of the last component that had one.
+touches one projector).  So the search builds one constraint network per
+component from the set's one graph and its maximal contexts, searches
+each on its own and combines them: UNSAT iff some component is UNSAT,
+the model count is the product of the component counts, and the
+witnesses are the Cartesian product of the component witnesses, in the
+order a single search over the whole set finds them.  A SAT result
+always has a witness, the empty one for an empty set.  `nodes_explored`
+is one root for the whole search plus, for every component searched,
+its nodes less its own root.  Components are searched in order of their
+lowest decision index, up to the first UNSAT one; `violated_context` is
+the last conflict of the last component that had one.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int
     unassigned member is undetermined unless it already holds two 1s.
     """
     values = _checked_values(ps, assignment)
-    net = _build_network(ps)
+    net = _build_network(ps, _plan(ps), tuple(ps.projectors))
     return list(_violations(net, [values.get(l) for l in net.labels]))
 
 
@@ -148,35 +150,58 @@ class _Network:
     forced: tuple[tuple[int, int], ...]     # (var, value) for zero/identity
 
 
-def _build_network(ps: ProjectorSet) -> _Network:
+def _plan(ps: ProjectorSet):
+    """What every network of the set is built from: its orthogonality
+    graph, its maximal contexts, for each label the indices of the
+    contexts holding it, and each label's place in the decision order.
+    One call each of `orthogonality_graph` and `find_maximal_contexts`
+    per search."""
     maximal = find_maximal_contexts(ps)
-    graph = orthogonality_graph(ps)
-    degree = {l: 0 for l in ps.projectors}
-    for ctx in maximal:
+    holding: dict[str, list[int]] = {l: [] for l in ps.projectors}
+    for c, ctx in enumerate(maximal):
         for m in ctx.members:
-            degree[m] += 1
+            holding[m].append(c)
     # most-constrained labels first; pure performance, correctness is
     # order-independent and tested as such
-    order = sorted(ps.projectors, key=lambda l: (-degree[l], l))
+    order = sorted(ps.projectors, key=lambda l: (-len(holding[l]), l))
+    return (orthogonality_graph(ps), maximal, holding,
+            {l: i for i, l in enumerate(order)})
+
+
+def _build_network(ps: ProjectorSet, plan, labels: tuple[str, ...]) -> _Network:
+    """The network on `labels` (in set order), whole connected components
+    of the graph, in the set's relative decision order."""
+    graph, all_maximal, holding, rank = plan
+    order = sorted(labels, key=rank.__getitem__)
     index = {l: i for i, l in enumerate(order)}
-    contexts = tuple(tuple(sorted(index[m] for m in ctx.members)) for ctx in maximal)
-    contexts_of: list[list[int]] = [[] for _ in order]
-    for ci, members in enumerate(contexts):
-        for m in members:
-            contexts_of[m].append(ci)
+    ids = sorted({c for l in labels for c in holding[l]})
+    local = {c: k for k, c in enumerate(ids)}
+    maximal = tuple(all_maximal[c] for c in ids)
+    contexts = tuple(tuple(sorted(map(index.__getitem__, ctx.members)))
+                     for ctx in maximal)
+    contexts_of = tuple(tuple(map(local.__getitem__, holding[l])) for l in order)
     pairs = []
     for l, in_contexts in zip(order, contexts_of):
         first_shared: dict[int, int] = {}   # co-member -> first context
         for c in in_contexts:
             for m in contexts[c]:
                 first_shared.setdefault(m, c)
-        pairs.append(tuple((j, first_shared.get(j))
-                           for j in sorted(index[n] for n in graph[l])))
+        neighbours = sorted(map(index.__getitem__, graph[l]))
+        pairs.append(tuple(zip(neighbours, map(first_shared.get, neighbours))))
     # rank 0 is the zero projector, rank d the identity
-    forced = tuple((index[l], int(p.rank > 0)) for l, p in ps.projectors.items()
-                   if p.rank in (0, ps.dimension))
+    forced = tuple((index[l], int(ps[l].rank > 0)) for l in labels
+                   if ps[l].rank in (0, ps.dimension))
     return _Network(tuple(order), index, tuple(pairs), maximal, contexts,
-                    tuple(tuple(c) for c in contexts_of), forced)
+                    contexts_of, forced)
+
+
+def _components(ps: ProjectorSet, plan) -> list[_Network]:
+    """One network per connected component of the orthogonality graph, in
+    order of the component's lowest decision index.  No rule crosses a
+    component: a maximal context is a clique, a pair an edge."""
+    graph, *_, rank = plan
+    nets = [_build_network(ps, plan, part) for part in graph.components()]
+    return sorted(nets, key=lambda net: rank[net.labels[0]])
 
 
 def _violations(net: _Network, values: list):
@@ -316,73 +341,10 @@ def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
     return acc.count, acc.first, acc.solutions, acc.nodes, acc.last_conflict
 
 
-def _components(net: _Network) -> list[tuple[_Network, tuple[int, ...]]]:
-    """The connected components of the orthogonality graph in order of
-    their lowest decision index, each as a sub-network together with the
-    indices in `net.maximal` of its contexts.
-
-    A sub-network keeps the relative decision order, so its variables,
-    contexts and pairs are those of `net`, renumbered.  A connected
-    network is its own one component.
-    """
-    n = len(net.labels)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members, stack = [start], [start]
-        while stack:
-            for j, _ in net.pairs[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-                    stack.append(j)
-        parts.append(sorted(members))
-    if len(parts) == 1:     # a copy would hold a dense graph's pairs twice
-        return [(net, tuple(range(len(net.maximal))))]
-    return [_sub_network(net, members) for members in parts]
-
-
-def _sub_network(net: _Network, members: list[int]
-                 ) -> tuple[_Network, tuple[int, ...]]:
-    """The network on `members` (indices in `net`, ascending), with the
-    indices in `net.maximal` of its contexts."""
-    local = {g: i for i, g in enumerate(members)}
-    context_ids = sorted({c for g in members for c in net.contexts_of[g]})
-    local_context = {c: k for k, c in enumerate(context_ids)}
-    labels = tuple(net.labels[g] for g in members)
-    sub = _Network(
-        labels, {l: i for i, l in enumerate(labels)},
-        tuple(tuple((local[j], local_context.get(c)) for j, c in net.pairs[g])
-              for g in members),
-        tuple(net.maximal[c] for c in context_ids),
-        tuple(tuple(local[m] for m in net.contexts[c]) for c in context_ids),
-        tuple(tuple(local_context[c] for c in net.contexts_of[g])
-              for g in members),
-        tuple((local[g], v) for g, v in net.forced if g in local))
-    return sub, tuple(context_ids)
-
-
-def _search_components(net: _Network, fixed: Mapping[str, int], mode: Mode):
-    """`_search_task` on every component under its share of `fixed`, up
-    to and including the first UNSAT one, each conflict as an index into
-    `net.maximal`."""
-    parts = []
-    for sub, context_ids in _components(net):
-        count, first, solutions, nodes, conflict = _search_task(
-            sub, _seed_from_fixed(sub, fixed), mode)
-        if conflict is not None and conflict >= 0:
-            conflict = context_ids[conflict]
-        parts.append((count, first, solutions, nodes, conflict))
-        if not count:
-            break
-    return parts
-
-
-def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
-    """One result from the searches of disjoint components of `net`.
+def _merge(labels: tuple[str, ...], parts, mode: Mode) -> SearchResult:
+    """One result from the searches of the disjoint components of a set
+    whose decision order is `labels`, each part a network and its
+    `_search_task` result.
 
     Models are the products of component models.  A witness lists its
     labels in decision order, and the witnesses run in descending
@@ -391,47 +353,43 @@ def _merge(net: _Network, parts, mode: Mode) -> SearchResult:
     undecided variable.  The nodes count one root for the whole search;
     the last conflict is that of the last component that had one.
     """
-    count = math.prod(p[0] for p in parts)
-    nodes = 1 + sum(p[3] - 1 for p in parts)
-    conflict = None
-    for p in parts:
-        if p[4] is not None:
-            conflict = p[4]
+    count = math.prod(p[0] for _, p in parts)
+    nodes = 1 + sum(p[3] - 1 for _, p in parts)
+    violated = None, None
+    for net, p in parts:
+        if p[4] is not None:        # -1: no single context to blame
+            violated = (None, None) if p[4] < 0 else (
+                net.maximal[p[4]].display_name(),
+                tuple(net.labels[i] for i in net.contexts[p[4]]))
     witness = solutions = None
     if count:
-        row = _row_builder(net, [p[1] for p in parts])
-        witness = dict(zip(net.labels,
-                           row([tuple(p[1].values()) for p in parts])))
+        row = _row_builder(labels, [net.labels for net, _ in parts])
+        witness = dict(zip(labels, row([tuple(p[1].values()) for _, p in parts])))
         if mode == "all":
-            rows = sorted(map(row, itertools.product(*(p[2] for p in parts))),
+            rows = sorted(map(row, itertools.product(*(p[2] for _, p in parts))),
                           reverse=True)
-            solutions = [dict(zip(net.labels, r)) for r in rows]
-    violated_name = None
-    violated_members = None
-    if conflict is not None and conflict >= 0:
-        violated_name = net.maximal[conflict].display_name()
-        violated_members = tuple(net.labels[i] for i in net.contexts[conflict])
+            solutions = [dict(zip(labels, r)) for r in rows]
     return SearchResult(
         status="SAT" if count else "UNSAT",
-        witness=Assignment(witness) if witness else None,
+        witness=None if witness is None else Assignment(witness),
         nodes_explored=nodes,
         count=None if mode == "first" else count,
         witnesses=tuple(map(Assignment, solutions or ()))
         if mode == "all" else None,
-        violated_context=violated_name,
-        violated_members=violated_members,
+        violated_context=violated[0],
+        violated_members=violated[1],
     )
 
 
-def _row_builder(net: _Network, firsts):
+def _row_builder(labels: tuple[str, ...], orders):
     """A function from one value tuple per component to the values of
-    `net` in decision order.  A component's values follow its own
-    decision order, which its first witness `firsts[k]` lists."""
-    joined = [l for first in firsts for l in first]
-    if joined == list(net.labels):      # also when there are 0 or 1 labels
+    `labels` in decision order.  A component's values follow its own
+    decision order, `orders[k]`."""
+    joined = [l for order in orders for l in order]
+    if joined == list(labels):      # also when there are 0 or 1 labels
         return _concat
     position = {l: i for i, l in enumerate(joined)}
-    pick = operator.itemgetter(*map(position.__getitem__, net.labels))
+    pick = operator.itemgetter(*map(position.__getitem__, labels))
     return lambda combo: pick(_concat(combo))
 
 
@@ -446,22 +404,24 @@ def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):
 
 
 def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
-                           workers: int = 1,
                            fixed: Mapping[str, int] | None = None) -> SearchResult:
     """Search for total admissible assignments.
 
     mode="first" stops at the first witness (canonical order: labels by
     descending context-degree then name, value 1 tried before 0);
     "all" collects every witness; "count" counts them exhaustively.
-    `fixed` pins labels before the search starts.  `workers` must be at
-    least 1 and changes nothing: the search splits into connected
-    components, not processes.
+    `fixed` pins labels before the search starts.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     fixed = _checked_values(ps, fixed or {})
-    net = _build_network(ps)
-    return _merge(net, _search_components(net, fixed, mode), mode)
+    plan = _plan(ps)
+    parts = []      # up to and including the first UNSAT component
+    for net in _components(ps, plan):
+        part = _search_task(net, _seed_from_fixed(net, fixed), mode)
+        parts.append((net, part))
+        if not part[0]:
+            break
+    *_, rank = plan
+    return _merge(tuple(rank), parts, mode)
 
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
@@ -500,9 +460,12 @@ def localized_indefiniteness_certificate(
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
-    net = _build_network(ps)
-    _validate_fixed_locally(net, fixed)
-    components = [sub for sub, _ in _components(net)]
+    plan = _plan(ps)
+    components = _components(ps, plan)
+    # the first broken rule is reported, so take the rules in the whole
+    # set's order, not component by component
+    _validate_fixed_locally(components[0] if len(components) == 1 else
+                            _build_network(ps, plan, tuple(ps.projectors)), fixed)
     component_of = {l: sub for sub in components for l in sub.labels}
     witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 

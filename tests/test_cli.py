@@ -114,6 +114,20 @@ class TestColor:
         assert "status: SAT" in out
         assert "witness:" in out
 
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_empty_set_is_sat_with_the_empty_witness(self, capsys, tmp_path,
+                                                      mode):
+        empty = tmp_path / "empty.pset"
+        empty.write_text("dim 2\n")
+        status, out, _ = run(capsys, "color", str(empty), "--mode", mode)
+        assert status == 0 and "status: SAT" in out
+        # count mode shows no witness for any set
+        assert ("witness:" in out.splitlines()) == (mode != "count")
+        status, payload = run_json(capsys, "color", str(empty), "--mode", mode)
+        assert status == 0 and payload["result"]["status"] == "SAT"
+        assert payload["result"].get("witness") == \
+            (None if mode == "count" else {})
+
     def test_count_mode(self, capsys, tmp_path):
         one_ctx = tmp_path / "one.pset"
         one_ctx.write_text(

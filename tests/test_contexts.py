@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -14,11 +15,12 @@ from kscontext import (Context, Matrix, Projector, ProjectorSet,
                        validate_context)
 from kscontext import contexts
 from kscontext.cli import main
-from kscontext.search import admissible_assignments
+from kscontext.search import (admissible_assignments, check_assignment,
+                              localized_indefiniteness_certificate)
 
-from _gen import (brute_maximal_contexts, d_roots, peres24,
-                  random_orthogonal_basis, random_pset_text,
-                  random_ray_corpus, random_vector,
+from _gen import (brute_maximal_contexts, brute_orthogonal_pairs, d_roots,
+                  peres24, random_orthogonal_basis, random_pset_text,
+                  random_ray_corpus, random_split_corpus, random_vector,
                   recursive_maximal_contexts)
 
 
@@ -156,21 +158,24 @@ class TestIterativeCliques:
         rng = Random(90210)
         early = 0
         for _ in range(400):
-            labels = [f"v{i}" for i in range(rng.randint(1, 9))]
-            adj = {l: set() for l in labels}
+            n = rng.randint(1, 9)
+            adj = [0] * n
             density = rng.random()
-            for a, b in itertools.combinations(labels, 2):
+            for a, b in itertools.combinations(range(n), 2):
                 if rng.random() < density:
-                    adj[a].add(b)
-                    adj[b].add(a)
-            adj = {l: frozenset(n) for l, n in adj.items()}
-            pool = rng.sample(labels, rng.randint(1, len(labels)))
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+            pool = rng.sample(range(n), rng.randint(1, n))
             cut = rng.randint(0, len(pool))
-            candidates, excluded = set(pool[:cut]), set(pool[cut:])
-            want = max(sorted(candidates | excluded),
-                       key=lambda v: len(adj[v] & candidates))
+            candidates = sum(1 << v for v in pool[:cut])
+            excluded = sum(1 << v for v in pool[cut:])
+
+            def score(v):
+                return bin(adj[v] & candidates).count("1")
+            # max keeps the first of equal scores: set order is bit order
+            want = max(sorted(pool), key=score)
             assert contexts._pivot(adj, candidates, excluded) == want
-            early += len(adj[want] & candidates) >= len(candidates) - 1
+            early += score(want) >= bin(candidates).count("1") - 1
         assert early > 50
 
     def test_clique_deeper_than_the_recursion_limit(self):
@@ -184,6 +189,59 @@ class TestIterativeCliques:
         result = admissible_assignments(ps, mode="first")
         assert result.status == "SAT"
         assert set(result.witness.values.values()) == {0}
+
+
+class TestOneGraph:
+    """The orthogonality relation is computed once, held as bitsets and
+    read by every layer through `orthogonality_graph`."""
+
+    def test_edges_are_the_matrix_product_pairs(self):
+        rng = Random(31337)
+        corpora = [random_ray_corpus(rng, rng.randint(2, 4), max_rays=10)
+                   for _ in range(20)]
+        corpora += [to_projector_set(parse(random_pset_text(rng)))
+                    for _ in range(20)]
+        for ps in corpora:
+            graph = orthogonality_graph(ps)
+            assert list(graph) == list(ps.projectors)
+            assert {frozenset((a, b)) for a in graph for b in graph[a]} == \
+                brute_orthogonal_pairs(ps)
+        label = next(iter(graph))
+        with pytest.raises(TypeError):
+            graph[label] = frozenset()
+        with pytest.raises(KeyError):
+            graph["no-such-label"]
+        assert label in graph and "no-such-label" not in graph
+
+    def test_every_query_shares_one_test_per_pair(self, monkeypatch):
+        ps = random_split_corpus(Random(12), 3)
+        assert len(orthogonality_graph(ps).components()) > 1
+        ps = ProjectorSet(ps.dimension, dict(ps.projectors), ps.contexts)
+        tested = []
+        original = contexts.is_orthogonal
+        monkeypatch.setattr(contexts, "is_orthogonal",
+                            lambda p, q: tested.append((p.label, q.label))
+                            or original(p, q))
+        find_maximal_contexts(ps)
+        for mode in ("first", "all", "count"):
+            admissible_assignments(ps, mode=mode)
+        first = next(iter(ps.projectors))
+        localized_indefiniteness_certificate(ps, {first: 1})
+        check_assignment(ps, {first: 1})
+        n = len(ps)
+        assert len(tested) == len(set(map(frozenset, tested))) == n * (n - 1) // 2
+
+    def test_a_dense_clique_is_held_as_bitsets(self):
+        # 400 zero projectors: every pair orthogonal, one clique of 400
+        ps = ProjectorSet(2, {f"z{k:03d}": projector_from_span([(0, 0)])
+                              for k in range(400)})
+        tracemalloc.start()
+        try:
+            assert find_maximal_contexts(ps) == ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestIsMaximalOracle:

@@ -169,27 +169,6 @@ class TestAdmissibleAssignments:
             admissible_assignments(c1c6, fixed={"zzz": 1})
 
 
-class TestWorkers:
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_results_identical_for_any_worker_count(self, workers, c1c6, cabello18):
-        base_all = admissible_assignments(c1c6, mode="all", workers=1)
-        par_all = admissible_assignments(c1c6, mode="all", workers=workers)
-        assert par_all.status == base_all.status
-        assert par_all.count == base_all.count
-        assert par_all.witnesses == base_all.witnesses
-
-        base_first = admissible_assignments(c1c6, mode="first", workers=1)
-        par_first = admissible_assignments(c1c6, mode="first", workers=workers)
-        assert par_first.witness == base_first.witness
-
-        assert admissible_assignments(
-            cabello18, mode="first", workers=workers).status == "UNSAT"
-
-    def test_invalid_worker_count(self, c1c6):
-        with pytest.raises(ValueError):
-            admissible_assignments(c1c6, workers=0)
-
-
 class TestLocalizedCertificate:
     def test_single_context_pin_forces_partners(self):
         ps = single_context_corpus()
@@ -344,6 +323,20 @@ class TestOneAdmissibilityRule:
             localized_indefiniteness_certificate(c1c6, {"P1_1": 1, "P1_2": 1})
         assert err.value.context == ("P1_1", "P1_2", "P1_3", "P1_4")
 
+    def test_rules_in_the_whole_sets_order_across_components(self):
+        # the basis {x, y} and the identity are two components, {x, y}
+        # first in decision order; a forced value still comes first
+        ps = ProjectorSet(2, {"x": projector_from_span([(1, 0)]),
+                              "y": projector_from_span([(0, 1)]),
+                              "I": projector_from_span([(1, 0), (0, 1)])})
+        assert [net.labels for net in components(ps)] == [("x", "y"), ("I",)]
+        fixed = {"x": 1, "y": 1, "I": 0}
+        assert summary(check_assignment(ps, fixed)) == \
+            [("forced", ("I",), 0), ("context", ("x", "y"), 2)]
+        with pytest.raises(InconsistentAssignmentError,
+                           match="I is the identity projector"):
+            localized_indefiniteness_certificate(ps, fixed)
+
 
 def oracle_cases():
     for name in ("cabello-c1c6", "cabello-18"):
@@ -380,19 +373,30 @@ def assert_same_result(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
+def whole_network(ps):
+    """The network of the whole set, as `check_assignment` builds it."""
+    return search._build_network(ps, search._plan(ps), tuple(ps.projectors))
+
+
+def components(ps):
+    """The component networks that `admissible_assignments` searches."""
+    return search._components(ps, search._plan(ps))
+
+
 def component_sets(ps):
     """Each connected component of `ps` as a set of its own, with its
     network, in order of its first label in the whole set's decision
-    order."""
-    order = search._build_network(ps).labels
+    order.  The search's component networks are these, field by field."""
+    order = whole_network(ps).labels
     parts = []
     for component in graph_components(ps, order):
         sub = ProjectorSet(ps.dimension, {l: ps[l] for l in component},
                            [c for c in ps.contexts
                             if set(c.members) <= set(component)])
-        net = search._build_network(sub)
+        net = whole_network(sub)
         assert net.labels == component      # the relative decision order
         parts.append((sub, net))
+    assert components(ps) == [net for _, net in parts]
     return parts
 
 
@@ -431,11 +435,13 @@ class TestKernelAgainstRecursiveOracle:
     def test_same_result_field_by_field(self, mode):
         checked = 0
         for ps, fixed in oracle_cases():
-            net = search._build_network(ps)
+            net = whole_network(ps)
             seed = search._seed_from_fixed(net, fixed)
-            got = search._merge(net, [search._search_task(net, seed, mode)], mode)
+            got = search._merge(
+                net.labels, [(net, search._search_task(net, seed, mode))], mode)
             want = search._merge(
-                net, [recursive_search_task(ps, net, seed, mode)], mode)
+                net.labels, [(net, recursive_search_task(ps, net, seed, mode))],
+                mode)
             assert_same_result(got, want)
             public = admissible_assignments(ps, mode=mode, fixed=fixed)
             assert_component_result(public, want, component_sets(ps), fixed,
@@ -450,7 +456,7 @@ class TestKernelAgainstRecursiveOracle:
         for ps, fixed in oracle_cases():
             if fixed:
                 continue
-            net = search._build_network(ps)
+            net = whole_network(ps)
             assert net.pairs == tuple(
                 tuple((j, first_shared_context(net, i, j)) for j in neighbours)
                 for i, neighbours in enumerate(oracle_adjacency(ps, net)))
@@ -496,11 +502,12 @@ ROTATION = ((327, -804, 208, -504), (-156, 487, -24, -888),
 def monolithic(ps, fixed, mode):
     """One `_search_task` over the whole network, merged as one part, and
     checked against the recursive oracle."""
-    net = search._build_network(ps)
+    net = whole_network(ps)
     seed = search._seed_from_fixed(net, fixed)
-    result = search._merge(net, [search._search_task(net, seed, mode)], mode)
+    result = search._merge(
+        net.labels, [(net, search._search_task(net, seed, mode))], mode)
     assert_same_result(result, search._merge(
-        net, [recursive_search_task(ps, net, seed, mode)], mode))
+        net.labels, [(net, recursive_search_task(ps, net, seed, mode))], mode))
     return result
 
 
@@ -538,9 +545,9 @@ class TestComponents:
 
     def test_interleaved_labels(self):
         ps = interleaved_pairs()
-        net = search._build_network(ps)
+        net = whole_network(ps)
         assert net.labels == ("p1", "p2", "p3", "p4")
-        assert [sub.labels for sub, _ in search._components(net)] == \
+        assert [sub.labels for sub in components(ps)] == \
             [("p1", "p4"), ("p2", "p3")]
         result = admissible_assignments(ps, mode="all")
         # descending in (p1, p2, p3, p4), not component by component
@@ -572,7 +579,7 @@ class TestComponents:
     def test_zero_projector_merges_the_components(self):
         ps = ProjectorSet(3, {**interleaved_pairs().projectors,
                               "z": projector_from_span([(0, 0, 0)])})
-        assert len(search._components(search._build_network(ps))) == 1
+        assert len(components(ps)) == 1
         for mode in ("first", "all", "count"):
             assert_same_result(admissible_assignments(ps, mode=mode),
                                monolithic(ps, {}, mode))
@@ -605,16 +612,25 @@ class TestComponents:
               "interleaved": interleaved_pairs,
               "split": lambda: random_split_corpus(Random(12), 3),
               "connected": single_context_corpus}[case]()
-        labels = list(search._build_network(ps).labels)
+        labels = list(whole_network(ps).labels)
         result = admissible_assignments(ps, mode="all")
         assert len(result.witnesses) == result.count > 0
         for w in result.witnesses:
             assert type(w.values) is dict
             assert list(w.values) == labels
         assert len(set(result.witnesses)) == result.count
-        if not labels:      # the empty assignment, but no witness to show
+        if not labels:      # the empty assignment is the one witness
             assert result.witnesses == (Assignment({}),)
-            assert result.witness is None
+            assert result.witness == Assignment({})
+
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_empty_set_has_the_empty_witness(self, mode):
+        result = admissible_assignments(ProjectorSet(2, {}), mode=mode)
+        assert (result.status, result.nodes_explored) == ("SAT", 1)
+        assert result.witness == Assignment({})
+        assert type(result.witness.values) is dict
+        assert result.count == (None if mode == "first" else 1)
+        assert result.witnesses == ((Assignment({}),) if mode == "all" else None)
 
     def test_pins_spread_across_components(self):
         ps = interleaved_pairs()
