@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -218,6 +219,18 @@ class OrthogonalityGraph(Mapping):
     def __len__(self) -> int:
         return len(self.labels)
 
+    def adjacency(self, order: Sequence[str]) -> tuple[int, ...]:
+        """The neighbours of each label of `order` among `order`, as
+        bitsets in which bit k stands for order[k]."""
+        if not order:
+            return ()
+        positions = list(map(self._position.__getitem__, order))
+        # a row's digits, lowest first, read at order's positions, highest first
+        pick = itemgetter(*reversed(positions))
+        width = len(self.labels)
+        return tuple(int("".join(pick(_digits(self.bits[p], width))), 2)
+                     for p in positions)
+
     def components(self) -> list[tuple[str, ...]]:
         """The connected components, each in set order, in order of their
         first label."""
@@ -238,6 +251,11 @@ class OrthogonalityGraph(Mapping):
 
 # bin() digits, lowest bit first, as the bytes 0 and 1 for `compress`
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(bits: int, width: int) -> str:
+    """Bits 0 to width - 1 of `bits`, lowest first, as '0' and '1'."""
+    return bin(bits | 1 << width)[:2:-1]
 
 
 def _members(items: Sequence, bits: int) -> Iterator:

@@ -21,6 +21,14 @@ is one root for the whole search plus, for every component searched,
 its nodes less its own root.  Components are searched in order of their
 lowest decision index, up to the first UNSAT one; `violated_context` is
 the last conflict of the last component that had one.
+
+A network holds its constraints as int bitsets in which bit k stands for
+the variable at decision index k: each variable's orthogonal neighbours,
+each maximal context's members.  The search state is two such ints, the
+assigned variables and those assigned 1.  A choice point saves the two,
+so backtracking restores them and nothing is undone.  The context to
+blame for a 0 that a 1 forced on its neighbour is looked up only when
+that 0 conflicts.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ import operator
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
-from .contexts import (Context, ProjectorSet, UnknownLabelError,
-                       find_maximal_contexts, orthogonality_graph)
+from .contexts import (Context, ProjectorSet, UnknownLabelError, _digits,
+                       _members, find_maximal_contexts, orthogonality_graph)
 
 Mode = Literal["first", "all", "count"]
 
@@ -116,8 +124,7 @@ def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int
     unassigned member is undetermined unless it already holds two 1s.
     """
     values = _checked_values(ps, assignment)
-    net = _build_network(ps, _plan(ps), tuple(ps.projectors))
-    return list(_violations(net, [values.get(l) for l in net.labels]))
+    return list(_violations(_whole_network(ps, _plan(ps)), values))
 
 
 def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
@@ -137,16 +144,15 @@ def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
 
 @dataclass(frozen=True)
 class _Network:
-    """Index-based view of the constraints."""
+    """The constraints on variables by decision index, as bitsets in which
+    bit k stands for the variable at index k."""
 
     labels: tuple[str, ...]                 # decision order
     index: dict[str, int]                   # label -> position in labels
-    # per var, its orthogonal neighbours in index order, each with the
-    # first maximal context the two share (None: no shared context)
-    pairs: tuple[tuple[tuple[int, int | None], ...], ...]
+    adj: tuple[int, ...]                    # per var, its orthogonal neighbours
     maximal: tuple[Context, ...]
-    contexts: tuple[tuple[int, ...], ...]   # members of `maximal`, by index
-    contexts_of: tuple[tuple[int, ...], ...]
+    contexts: tuple[int, ...]               # member mask of each of `maximal`
+    contexts_of: tuple[tuple[int, ...], ...]  # per var, its contexts, ascending
     forced: tuple[tuple[int, int], ...]     # (var, value) for zero/identity
 
 
@@ -177,22 +183,19 @@ def _build_network(ps: ProjectorSet, plan, labels: tuple[str, ...]) -> _Network:
     ids = sorted({c for l in labels for c in holding[l]})
     local = {c: k for k, c in enumerate(ids)}
     maximal = tuple(all_maximal[c] for c in ids)
-    contexts = tuple(tuple(sorted(map(index.__getitem__, ctx.members)))
-                     for ctx in maximal)
+    contexts = tuple(sum(1 << index[m] for m in ctx.members) for ctx in maximal)
     contexts_of = tuple(tuple(map(local.__getitem__, holding[l])) for l in order)
-    pairs = []
-    for l, in_contexts in zip(order, contexts_of):
-        first_shared: dict[int, int] = {}   # co-member -> first context
-        for c in in_contexts:
-            for m in contexts[c]:
-                first_shared.setdefault(m, c)
-        neighbours = sorted(map(index.__getitem__, graph[l]))
-        pairs.append(tuple(zip(neighbours, map(first_shared.get, neighbours))))
     # rank 0 is the zero projector, rank d the identity
     forced = tuple((index[l], int(ps[l].rank > 0)) for l in labels
                    if ps[l].rank in (0, ps.dimension))
-    return _Network(tuple(order), index, tuple(pairs), maximal, contexts,
-                    contexts_of, forced)
+    return _Network(tuple(order), index, graph.adjacency(order), maximal,
+                    contexts, contexts_of, forced)
+
+
+def _whole_network(ps: ProjectorSet, plan) -> _Network:
+    """The network of every label, whose rules run in the whole set's
+    order; `check_assignment` and the check of `fixed` judge on it."""
+    return _build_network(ps, plan, tuple(ps.projectors))
 
 
 def _components(ps: ProjectorSet, plan) -> list[_Network]:
@@ -204,62 +207,71 @@ def _components(ps: ProjectorSet, plan) -> list[_Network]:
     return sorted(nets, key=lambda net: rank[net.labels[0]])
 
 
-def _violations(net: _Network, values: list):
-    """The rules `_assign` enforces, on values by index (None: unassigned):
-    forced values, then orthogonal pairs of 1s sharing no maximal context,
-    then maximal contexts.  A pair inside a context is reported as it."""
+def _violations(net: _Network, values: Mapping[str, int]):
+    """The rules `_assign` enforces, on values by label (a label left out is
+    unassigned): forced values, then orthogonal pairs of 1s sharing no
+    maximal context, then maximal contexts.  A pair inside a context is
+    reported as it."""
+    assigned = ones = 0
+    for label, value in values.items():
+        assigned |= 1 << net.index[label]
+        ones |= value << net.index[label]
     for var, val in net.forced:
-        if values[var] not in (None, val):
+        if assigned >> var & 1 and ones >> var & 1 != val:
             yield Violation(Context((net.labels[var],), maximal=False),
-                            values[var], "forced")
-    for i, neighbours in enumerate(net.pairs):
-        for j, shared in neighbours:
-            if i < j and values[i] == values[j] == 1 and shared is None:
+                            1 - val, "forced")
+    every = range(len(net.labels))
+    for i in _members(every, ones):
+        for j in _members(every, net.adj[i] & ones & -(2 << i)):   # j > i
+            if _shared(net, i, j) < 0:
                 yield Violation(Context((net.labels[i], net.labels[j]),
                                         maximal=False), 2, "pair")
-    for ctx, members in zip(net.maximal, net.contexts):
-        vals = [values[m] for m in members]
-        ones = vals.count(1)
-        if ones > 1 or (None not in vals and ones != 1):
-            yield Violation(ctx, ones, "context")
+    for ctx, mask in zip(net.maximal, net.contexts):
+        count = (mask & ones).bit_count()
+        if count > 1 or (not mask & ~assigned and count != 1):
+            yield Violation(ctx, count, "context")
 
 
-def _assign(net: _Network, values: list, var: int, val: int, trail: list):
-    """Assign and propagate; returns a conflicting context index, -1 for a
-    conflict with no single context to blame, or None on success."""
-    pairs, contexts, contexts_of = net.pairs, net.contexts, net.contexts_of
+def _shared(net: _Network, i: int, j: int) -> int:
+    """The first maximal context holding both variables, -1 if none does."""
+    for c in net.contexts_of[i]:
+        if net.contexts[c] >> j & 1:
+            return c
+    return -1
+
+
+def _assign(net: _Network, assigned: int, ones: int, var: int, val: int):
+    """Assign and propagate from the state (assigned, ones); returns the
+    conflict and the state reached.  The conflict is a context index, -1
+    when no single context is to blame, or None on success."""
+    adj, contexts, contexts_of = net.adj, net.contexts, net.contexts_of
+    every = range(len(adj))
+    # each entry's cause: None for `var`, the context of a unit 1, and for
+    # a 0 the neighbour whose 1 forced it
     stack = [(var, val, None)]
     while stack:
         i, v, why = stack.pop()
-        cur = values[i]
-        if cur is not None:
-            if cur != v:
-                return why if why is not None else -1
-            continue
-        values[i] = v
-        trail.append(i)
-        if v == 1:
-            for j, shared in pairs[i]:
-                w = values[j]
-                if w is None:
-                    stack.append((j, 0, shared))
-                elif w == 1:
-                    return shared if shared is not None else -1
+        if assigned >> i & 1:
+            if ones >> i & 1 == v:
+                continue
+            if why is None:
+                return -1, assigned, ones
+            return (why if v else _shared(net, why, i)), assigned, ones
+        assigned |= 1 << i
+        if v:
+            ones |= 1 << i
+            clash = adj[i] & ones
+            if clash:       # blame the lowest neighbour already 1
+                return (_shared(net, i, (clash & -clash).bit_length() - 1),
+                        assigned, ones)
+            stack.extend((j, 0, i) for j in _members(every, adj[i] & ~assigned))
         for c in contexts_of[i]:
-            ones = free = 0
-            last_free = None
-            for m in contexts[c]:
-                x = values[m]
-                if x is None:
-                    free += 1
-                    last_free = m
-                elif x == 1:
-                    ones += 1
-            if ones > 1 or (not free and ones != 1):
-                return c
-            if ones == 0 and free == 1:
-                stack.append((last_free, 1, c))
-    return None
+            on, free = contexts[c] & ones, contexts[c] & ~assigned
+            if on & (on - 1) or not (on or free):
+                return c, assigned, ones
+            if not on and not free & (free - 1):
+                stack.append((free.bit_length() - 1, 1, c))
+    return None, assigned, ones
 
 
 class _Acc:
@@ -273,53 +285,48 @@ class _Acc:
         self.last_conflict = None
 
 
-def _record_solution(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
+def _record_solution(net: _Network, ones: int, mode: Mode, acc: _Acc) -> bool:
     acc.count += 1
-    if acc.first is None:
-        acc.first = dict(zip(net.labels, values))
-    if mode == "all":
-        acc.solutions.append(tuple(values))
+    if acc.first is None or mode == "all":
+        values = tuple(map(int, _digits(ones, len(net.labels))))
+        if acc.first is None:
+            acc.first = dict(zip(net.labels, values))
+        if mode == "all":
+            acc.solutions.append(values)
     return mode == "first"
 
 
-def _dfs(net: _Network, values, mode: Mode, acc: _Acc) -> bool:
+def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool:
     """Depth-first over the lowest unassigned variable, value 1 before 0;
     True once `first` mode has its witness.
 
-    Iterative: each frame is [var, next value to try, trail of the value
-    being tried].  The decision variable is always the lowest unassigned
-    index, so every index below a live frame's var stays assigned and
-    the next one is searched for from var + 1.
+    Iterative: each frame is [var, next value to try, assigned, ones], the
+    state before var was decided, so each value is tried from the frame's
+    state and backtracking needs no undo.
     """
-    n = len(values)
+    n = len(net.labels)
     stack: list[list] = []
-    var = 0                      # every index below var is assigned
     while True:
-        while var < n and values[var] is not None:
-            var += 1
+        var = (~assigned & (assigned + 1)).bit_length() - 1   # lowest free
         if var < n:
-            stack.append([var, 1, ()])
-        elif _record_solution(net, values, mode, acc):
+            stack.append([var, 1, assigned, ones])
+        elif _record_solution(net, ones, mode, acc):
             return True
         # the next value of the deepest frame that has one left
         while stack:
             frame = stack[-1]
-            var, val, trail = frame
-            for i in trail:
-                values[i] = None
+            var, val, assigned, ones = frame
             if val < 0:
                 stack.pop()
                 continue
             acc.nodes += 1
             frame[1] = val - 1
-            frame[2] = trail = []
-            conflict = _assign(net, values, var, val, trail)
+            conflict, assigned, ones = _assign(net, assigned, ones, var, val)
             if conflict is None:
                 break
             acc.last_conflict = conflict
         else:
             return False
-        var += 1                 # var itself is now assigned
 
 
 def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
@@ -327,17 +334,15 @@ def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
     witnesses as value tuples in decision order, nodes, last conflict as
     an index into `net.maximal`)."""
     acc = _Acc()
-    values: list = [None] * len(net.labels)
-    trail: list[int] = []
     acc.nodes += 1
-    conflict = None
+    assigned = ones = 0
     for var, val in seed:
-        conflict = _assign(net, values, var, val, trail)
+        conflict, assigned, ones = _assign(net, assigned, ones, var, val)
         if conflict is not None:
             acc.last_conflict = conflict
             break
-    if conflict is None:
-        _dfs(net, values, mode, acc)
+    else:
+        _dfs(net, assigned, ones, mode, acc)
     return acc.count, acc.first, acc.solutions, acc.nodes, acc.last_conflict
 
 
@@ -360,7 +365,7 @@ def _merge(labels: tuple[str, ...], parts, mode: Mode) -> SearchResult:
         if p[4] is not None:        # -1: no single context to blame
             violated = (None, None) if p[4] < 0 else (
                 net.maximal[p[4]].display_name(),
-                tuple(net.labels[i] for i in net.contexts[p[4]]))
+                tuple(_members(net.labels, net.contexts[p[4]])))
     witness = solutions = None
     if count:
         row = _row_builder(labels, [net.labels for net, _ in parts])
@@ -426,7 +431,7 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
     """Raise on the first rule the fixed values already break."""
-    for v in _violations(net, [fixed.get(l) for l in net.labels]):
+    for v in _violations(net, fixed):
         members = v.context.members
         if v.kind == "forced":
             val = 1 - v.assigned_sum
@@ -461,11 +466,9 @@ def localized_indefiniteness_certificate(
     """
     fixed = _checked_values(ps, fixed or {})
     plan = _plan(ps)
+    # the first broken rule is reported, in the order check_assignment gives
+    _validate_fixed_locally(_whole_network(ps, plan), fixed)
     components = _components(ps, plan)
-    # the first broken rule is reported, so take the rules in the whole
-    # set's order, not component by component
-    _validate_fixed_locally(components[0] if len(components) == 1 else
-                            _build_network(ps, plan, tuple(ps.projectors)), fixed)
     component_of = {l: sub for sub in components for l in sub.labels}
     witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 

@@ -316,11 +316,13 @@ def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
 
     Depth-first over the lowest unassigned variable, value 1 before 0,
     with unit propagation that looks up orthogonal neighbours in the
-    set's graph and the context two of them share pair by pair.  Recurses
-    once per decision level, so it suits small networks only.
+    set's graph, the context two of them share pair by pair, and each
+    context's members by label, not through the network's bitsets.
+    Recurses once per decision level, so it suits small networks only.
     """
     adjacency = oracle_adjacency(ps, net)
     common_context = functools.partial(first_shared_context, net)
+    members = [[net.index[m] for m in ctx.members] for ctx in net.maximal]
 
     def assign(values, var, val, trail):
         stack = [(var, val, None)]
@@ -344,7 +346,7 @@ def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
             for c in net.contexts_of[i]:
                 ones = 0
                 unassigned = []
-                for m in net.contexts[c]:
+                for m in members[c]:
                     x = values[m]
                     if x is None:
                         unassigned.append(m)

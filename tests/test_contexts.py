@@ -15,7 +15,8 @@ from kscontext import (Context, Matrix, Projector, ProjectorSet,
                        validate_context)
 from kscontext import contexts
 from kscontext.cli import main
-from kscontext.search import (admissible_assignments, check_assignment,
+from kscontext.search import (PinVerdict, admissible_assignments,
+                              check_assignment,
                               localized_indefiniteness_certificate)
 
 from _gen import (brute_maximal_contexts, brute_orthogonal_pairs, d_roots,
@@ -232,16 +233,31 @@ class TestOneGraph:
         assert len(tested) == len(set(map(frozenset, tested))) == n * (n - 1) // 2
 
     def test_a_dense_clique_is_held_as_bitsets(self):
-        # 400 zero projectors: every pair orthogonal, one clique of 400
+        # 400 zero projectors: every pair orthogonal, one clique of 400;
+        # neither the graph nor a search network holds a pair one by one
         ps = ProjectorSet(2, {f"z{k:03d}": projector_from_span([(0, 0)])
                               for k in range(400)})
+        first = next(iter(ps.projectors))
+        zeros = dict.fromkeys(ps.projectors, 0)
+        calls = {
+            "cliques": lambda: find_maximal_contexts(ps) == (),
+            "first": lambda: admissible_assignments(ps).witness.values == zeros,
+            "all": lambda: admissible_assignments(ps, mode="all").count == 1,
+            "count": lambda: admissible_assignments(ps, mode="count").count == 1,
+            "check": lambda: check_assignment(ps, zeros) == [],
+            "localize": lambda: set(localized_indefiniteness_certificate(
+                ps, {first: 0}).values()) == {PinVerdict.FORCED_ZERO},
+        }
+        peaks = {}
         tracemalloc.start()
         try:
-            assert find_maximal_contexts(ps) == ()
-            peak = tracemalloc.get_traced_memory()[1]
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                assert call(), name
+                peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert max(peaks.values()) < 2 * 2 ** 20, peaks
 
 
 class TestIsMaximalOracle:

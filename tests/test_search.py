@@ -18,9 +18,10 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        orthogonality_graph, parse, projector_from_span,
                        to_projector_set)
 
-from _gen import (brute_admissible, first_shared_context, graph_components,
-                  oracle_adjacency, peres24, random_ray_corpus,
-                  random_split_corpus, recursive_search_task)
+from _gen import (brute_admissible, d_roots, first_shared_context,
+                  graph_components, oracle_adjacency, peres24,
+                  random_ray_corpus, random_split_corpus,
+                  recursive_search_task)
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +415,8 @@ def component_oracle(parts, fixed, mode):
         if conflict is not None:
             violated = (None, None) if conflict < 0 else (
                 net.maximal[conflict].display_name(),
-                tuple(net.labels[i] for i in net.contexts[conflict]))
+                tuple(sorted(net.maximal[conflict].members,
+                             key=net.index.__getitem__)))
         if not count:
             break
     return nodes, violated
@@ -453,13 +455,34 @@ class TestKernelAgainstRecursiveOracle:
         assert checked == 133
 
     def test_pair_contexts_are_the_first_shared_context(self):
+        outside = set()     # whether an edge lies outside every context
         for ps, fixed in oracle_cases():
             if fixed:
                 continue
             net = whole_network(ps)
-            assert net.pairs == tuple(
-                tuple((j, first_shared_context(net, i, j)) for j in neighbours)
-                for i, neighbours in enumerate(oracle_adjacency(ps, net)))
+            adjacency = oracle_adjacency(ps, net)
+            assert net.adj == tuple(sum(1 << j for j in neighbours)
+                                    for neighbours in adjacency)
+            for i, neighbours in enumerate(adjacency):
+                for j in neighbours:
+                    shared = first_shared_context(net, i, j)
+                    assert search._shared(net, i, j) == \
+                        (-1 if shared is None else shared)
+                    outside.add(shared is None)
+        assert outside == {True, False}
+
+    @pytest.mark.parametrize("n, nodes", [(6, 453), (8, 2207)])
+    def test_connected_root_systems(self, n, nodes):
+        # the D_n root rays are one component with n * 2^(n-1) models, so
+        # every node is searched on one network
+        ps = d_roots(n)
+        assert len(components(ps)) == 1
+        for mode in ("first", "all", "count"):
+            result = monolithic(ps, {}, mode)
+            assert_same_result(admissible_assignments(ps, mode=mode), result)
+            if mode != "first":
+                assert result.count == n * 2 ** (n - 1)
+                assert result.nodes_explored == nodes
 
     def test_thousands_of_free_variables_need_no_recursion(self):
         # pairwise non-orthogonal rays: (1, a) . (1, b) = 1 + ab > 0, so
