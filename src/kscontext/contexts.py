@@ -234,19 +234,25 @@ class OrthogonalityGraph(Mapping):
     def components(self) -> list[tuple[str, ...]]:
         """The connected components, each in set order, in order of their
         first label."""
-        parts = []
-        unseen = (1 << len(self.labels)) - 1
-        while unseen:
-            part = frontier = unseen & -unseen
-            while frontier:
-                reach = 0
-                for row in _members(self.bits, frontier):
-                    reach |= row
-                frontier = reach & ~part
-                part |= frontier
-            unseen &= ~part
-            parts.append(tuple(_members(self.labels, part)))
-        return parts
+        return [tuple(_members(self.labels, part))
+                for part in _parts(self.bits, (1 << len(self.labels)) - 1)]
+
+
+def _parts(rows: Sequence[int], mask: int) -> list[int]:
+    """The connected components of the vertices in `mask`, as masks, in
+    order of their lowest vertex; `rows[i]` holds vertex i's neighbours."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for row in _members(rows, frontier):
+                reach |= row
+            frontier = reach & mask & ~part
+            part |= frontier
+        mask &= ~part
+        parts.append(part)
+    return parts
 
 
 # bin() digits, lowest bit first, as the bytes 0 and 1 for `compress`

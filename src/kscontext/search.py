@@ -29,6 +29,15 @@ assigned variables and those assigned 1.  A choice point saves the two,
 so backtracking restores them and nothing is undone.  The context to
 blame for a 0 that a 1 forced on its neighbour is looked up only when
 that 0 conflicts.
+
+`count` first walks as `first` does: on an UNSAT component that is the
+whole tree, so `nodes_explored` and the last conflict are those of a
+walk over every model.  Once it has a witness it counts from the same
+propagated state by components (Bayardo & Pehoushek, AAAI 2000): the
+free variables split into connected components whose counts multiply,
+and each component is counted once per search, then cached by its mask.
+Its `nodes_explored` counts the walk and each decision of the counting,
+so D8's root rays take 262 nodes for their 1024 models.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ from dataclasses import dataclass
 from typing import Literal, Mapping
 
 from .contexts import (Context, ProjectorSet, UnknownLabelError, _digits,
-                       _members, find_maximal_contexts, orthogonality_graph)
+                       _members, _parts, find_maximal_contexts,
+                       orthogonality_graph)
 
 Mode = Literal["first", "all", "count"]
 
@@ -329,21 +339,85 @@ def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool
             return False
 
 
-def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode):
-    """Exhaust the network under `seed`: (count, first witness as a dict,
-    witnesses as value tuples in decision order, nodes, last conflict as
-    an index into `net.maximal`)."""
-    acc = _Acc()
-    acc.nodes += 1
-    assigned = ones = 0
+def _propagate(net: _Network, seed, assigned: int = 0, ones: int = 0):
+    """Assign the (var, value) pairs of `seed` in turn from the state
+    (assigned, ones); the first conflict, or None, and the state reached."""
     for var, val in seed:
         conflict, assigned, ones = _assign(net, assigned, ones, var, val)
         if conflict is not None:
-            acc.last_conflict = conflict
-            break
-    else:
-        _dfs(net, assigned, ones, mode, acc)
+            return conflict, assigned, ones
+    return None, assigned, ones
+
+
+def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode,
+                 state: tuple[int, int] = (0, 0)):
+    """Exhaust the network under `seed`, propagated from `state`: (count,
+    first witness as a dict, witnesses as value tuples in decision order,
+    nodes, last conflict as an index into `net.maximal`).
+
+    `count` walks as `first` does, which on an UNSAT network is the whole
+    tree, and counts only once it has a witness, with `_count_models`."""
+    acc = _Acc()
+    acc.nodes += 1
+    conflict, assigned, ones = _propagate(net, seed, *state)
+    if conflict is not None:
+        acc.last_conflict = conflict
+    elif (_dfs(net, assigned, ones, "first" if mode == "count" else mode, acc)
+          and mode == "count"):
+        acc.count = _count_models(net, assigned, acc)
     return acc.count, acc.first, acc.solutions, acc.nodes, acc.last_conflict
+
+
+def _count_models(net: _Network, assigned: int, acc: _Acc) -> int:
+    """The number of models extending a conflict-free propagated state
+    whose assigned variables are `assigned`.
+
+    It is the product of the counts of the connected components of the
+    free variables in `net.adj`.  A component's count depends on its mask
+    alone: once propagation is done, a context with a free member holds
+    no 1 and its assigned members are all 0, and a free variable has no
+    neighbour that is 1.  So what constrains a component is its own edges
+    and "exactly one" on each context meeting it, and it is counted from
+    the state in which every other variable is 0, once per call, and then
+    read from a cache keyed by its mask.  Counting decides its lowest
+    variable, value 1 then 0, and multiplies the counts of what stays
+    free, up to the first 0.
+
+    Iterative: each frame is [component, next value, its count so far,
+    the parts of the current branch left to count (lowest last), their
+    product so far]; the root frame is the whole free set's, with no
+    value to try.
+    """
+    full = (1 << len(net.labels)) - 1
+    cache: dict[int, int] = {}
+    stack = [[0, -1, 0, _parts(net.adj, full & ~assigned)[::-1], 1]]
+    while True:
+        frame = stack[-1]
+        comp, val, total, parts, product = frame
+        if product and parts:
+            part = parts.pop()
+            if part in cache:
+                frame[4] = product * cache[part]
+            else:       # no branch yet: a product of 0 adds nothing
+                stack.append([part, 1, 0, [], 0])
+            continue
+        total += product
+        var = (comp & -comp).bit_length() - 1
+        while val >= 0:
+            acc.nodes += 1
+            conflict, assigned, _ = _assign(net, full & ~comp, 0, var, val)
+            val -= 1
+            if conflict is None:
+                parts = _parts(net.adj, full & ~assigned)[::-1]   # lowest last
+                frame[1:] = val, total, parts, 1
+                break
+            acc.last_conflict = conflict
+        else:
+            stack.pop()
+            cache[comp] = total
+            if not stack:
+                return total
+            stack[-1][4] *= total
 
 
 def _merge(labels: tuple[str, ...], parts, mode: Mode) -> SearchResult:
@@ -459,9 +533,11 @@ def localized_indefiniteness_certificate(
     and the pin; a label whose both pins are UNSAT is value indefinite
     given the fixings.  Components are independent, so once `fixed` is
     satisfiable on every component a pin needs a search of its own
-    component only; when `fixed` is UNSAT on one, so is every pin.  Every
-    witness found shows each of its values satisfiable, so a pin that an
-    earlier witness covers needs no search.
+    component only, started from the state that the forced values and
+    `fixed` propagate to there, which is computed once per component;
+    when `fixed` is UNSAT on one, so is every pin.  Every witness found
+    shows each of its values satisfiable, so a pin that an earlier
+    witness covers needs no search.
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
@@ -470,23 +546,29 @@ def localized_indefiniteness_certificate(
     _validate_fixed_locally(_whole_network(ps, plan), fixed)
     components = _components(ps, plan)
     component_of = {l: sub for sub in components for l in sub.labels}
+    start: dict[tuple[str, ...], tuple[int, int]] = {}   # by component labels
     witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 
-    def find_witness(sub: _Network, pins: Mapping[str, int]) -> bool:
-        _, first, _, _, _ = _search_task(sub, _seed_from_fixed(sub, pins), "first")
+    def find_witness(sub: _Network, seed) -> bool:
+        _, first, _, _, _ = _search_task(sub, seed, "first", start[sub.labels])
         witnessed.update((first or {}).items())
         return first is not None
 
+    def consistent_alone(sub: _Network) -> bool:
+        conflict, assigned, ones = _propagate(sub, _seed_from_fixed(sub, fixed))
+        start[sub.labels] = assigned, ones
+        return conflict is None and find_witness(sub, ())
+
     # all() stops at the first UNSAT component; the witnesses of the SAT
     # components before it extend to no total assignment, so drop them
-    consistent = all(find_witness(sub, fixed) for sub in components)
+    consistent = all(consistent_alone(sub) for sub in components)
     if not consistent:
         witnessed.clear()
 
     def satisfiable(label: str, value: int) -> bool:
+        sub = component_of[label]
         return (label, value) in witnessed or (
-            consistent and find_witness(component_of[label],
-                                        {**fixed, label: value}))
+            consistent and find_witness(sub, ((sub.index[label], value),)))
 
     verdicts: dict[str, PinVerdict] = {}
     for label in sorted(ps.projectors):

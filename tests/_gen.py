@@ -5,6 +5,7 @@ maximal contexts come from subset enumeration, admissibility counts from
 full 2^n enumeration over bitmasks, the search tree from a recursive
 copy of the kernel that takes orthogonality from the set's graph and
 shared contexts from the network's context lists, pair by pair, the
+cached model count from a recursive copy of the component counter, the
 clique enumeration from a recursive copy of Bron-Kerbosch, and the state
 valuations from the projector's matrix applied to the state.  They
 exist so the fast paths have something slower and dumber to agree with.
@@ -310,16 +311,13 @@ def first_shared_context(net, i: int, j: int) -> int | None:
     return None
 
 
-def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
-    """The search kernel as plain recursion, for `search._search_task` to
-    agree with: same return value, same tree, same node count.
-
-    Depth-first over the lowest unassigned variable, value 1 before 0,
-    with unit propagation that looks up orthogonal neighbours in the
-    set's graph, the context two of them share pair by pair, and each
-    context's members by label, not through the network's bitsets.
-    Recurses once per decision level, so it suits small networks only.
-    """
+def oracle_assign(ps: ProjectorSet, net):
+    """Unit propagation on a list of values by decision index (None for
+    unassigned) that looks up orthogonal neighbours in the set's graph,
+    the context two of them share pair by pair, and each context's
+    members by label, not through the network's bitsets.  The function
+    returned assigns `val` to `var`, appends every index it assigns to
+    `trail`, and returns the conflict as `search._assign` does."""
     adjacency = oracle_adjacency(ps, net)
     common_context = functools.partial(first_shared_context, net)
     members = [[net.index[m] for m in ctx.members] for ctx in net.maximal]
@@ -358,6 +356,20 @@ def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
                     stack.append((unassigned[0], 1, c))
         return None
 
+    return assign
+
+
+def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
+    """The search kernel as plain recursion, for `search._search_task` to
+    agree with in `first` and `all` mode: same return value, same tree,
+    same node count.  In `count` mode it walks every model, so it gives
+    the plain count.
+
+    Depth-first over the lowest unassigned variable, value 1 before 0,
+    with `oracle_assign`'s propagation.  Recurses once per decision
+    level, so it suits small networks only.
+    """
+    assign = oracle_assign(ps, net)
     acc = {"nodes": 0, "count": 0, "first": None, "solutions": [],
            "last_conflict": None}
 
@@ -398,3 +410,68 @@ def recursive_search_task(ps: ProjectorSet, net, seed, mode: str):
         dfs(values)
     return (acc["count"], acc["first"], acc["solutions"], acc["nodes"],
             acc["last_conflict"])
+
+
+def recursive_component_count(ps: ProjectorSet, net, seed):
+    """`search._search_task` in `count` mode as plain recursion on the
+    state the search reached: same return value, same node count, same
+    last conflict.
+
+    `recursive_search_task` in `first` mode, then, when it found a
+    witness, the count of the seed's free variables: the product, up to
+    the first 0, of the counts of their connected components in the set's
+    graph, in order of their lowest index.  A component is counted by
+    assigning its lowest variable 1, then 0, with `oracle_assign` and
+    undo, and remembered by its set of variables.
+    """
+    count, first, _, nodes, conflict = recursive_search_task(ps, net, seed, "first")
+    if not count:
+        return 0, None, [], nodes, conflict
+    assign = oracle_assign(ps, net)
+    adjacency = oracle_adjacency(ps, net)
+    values = [None] * len(net.labels)
+    for var, val in seed:
+        assert assign(values, var, val, []) is None
+    acc = {"nodes": nodes, "last_conflict": conflict}
+    remembered: dict[frozenset[int], int] = {}
+
+    def components(free):
+        found = []
+        for v in sorted(free):
+            if any(v in part for part in found):
+                continue
+            part, todo = {v}, [v]
+            while todo:
+                for j in adjacency[todo.pop()]:
+                    if j in free and j not in part:
+                        part.add(j)
+                        todo.append(j)
+            found.append(frozenset(part))
+        return found
+
+    def count_free(free):
+        product = 1
+        for part in components(free):
+            product *= count_component(part)
+            if not product:
+                break
+        return product
+
+    def count_component(part):
+        if part not in remembered:
+            total = 0
+            for val in (1, 0):
+                acc["nodes"] += 1
+                trail = []
+                found = assign(values, min(part), val, trail)
+                if found is None:
+                    total += count_free({i for i in part if values[i] is None})
+                else:
+                    acc["last_conflict"] = found
+                for i in trail:
+                    values[i] = None
+            remembered[part] = total
+        return remembered[part]
+
+    total = count_free({i for i, v in enumerate(values) if v is None})
+    return total, first, [], acc["nodes"], acc["last_conflict"]

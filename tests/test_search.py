@@ -20,7 +20,8 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
 
 from _gen import (brute_admissible, d_roots, first_shared_context,
                   graph_components, oracle_adjacency, peres24,
-                  random_ray_corpus, random_split_corpus,
+                  random_orthogonal_basis, random_ray_corpus,
+                  random_split_corpus, recursive_component_count,
                   recursive_search_task)
 
 
@@ -276,6 +277,21 @@ class TestWitnessReuse:
         localized_indefiniteness_certificate(cabello18, {"P1_1": 1})
         assert len(calls) == 1
 
+    def test_each_pin_starts_from_its_components_state(self, monkeypatch):
+        # 400 zero projectors and one fixing: 401 assignments reach the
+        # state of the fixing, then each of 399 pins to 1 is one more;
+        # re-propagating every forced value per pin took 160,799
+        ps = ProjectorSet(2, {f"z{k:03d}": projector_from_span([(0, 0)])
+                              for k in range(400)})
+        calls = []
+        original = search._assign
+        monkeypatch.setattr(search, "_assign",
+                            lambda *a: calls.append(a) or original(*a))
+        verdicts = localized_indefiniteness_certificate(ps, {"z000": 0})
+        assert set(verdicts.values()) == {PinVerdict.FORCED_ZERO}
+        assert len(verdicts) == 399
+        assert len(calls) == 401 + 399
+
 
 def summary(violations):
     return [(v.kind, v.context.members, v.assigned_sum) for v in violations]
@@ -374,6 +390,21 @@ def assert_same_result(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
+def oracle_task(ps, net, seed, mode):
+    """The recursive oracle of `search._search_task`: the plain kernel in
+    `first` and `all` mode, the component counter in `count` mode.  That
+    one's count and witness are checked against the plain kernel's, and
+    on UNSAT, where both walk the same tree, all of its fields."""
+    plain = recursive_search_task(ps, net, seed, mode)
+    if mode != "count":
+        return plain
+    cached = recursive_component_count(ps, net, seed)
+    assert cached[:2] == plain[:2]
+    if not plain[0]:
+        assert cached == plain
+    return cached
+
+
 def whole_network(ps):
     """The network of the whole set, as `check_assignment` builds it."""
     return search._build_network(ps, search._plan(ps), tuple(ps.projectors))
@@ -409,7 +440,7 @@ def component_oracle(parts, fixed, mode):
     the last component that had one."""
     nodes, violated = 1, (None, None)
     for sub, net in parts:
-        count, _, _, part_nodes, conflict = recursive_search_task(
+        count, _, _, part_nodes, conflict = oracle_task(
             sub, net, search._seed_from_fixed(net, fixed), mode)
         nodes += part_nodes - 1
         if conflict is not None:
@@ -442,8 +473,7 @@ class TestKernelAgainstRecursiveOracle:
             got = search._merge(
                 net.labels, [(net, search._search_task(net, seed, mode))], mode)
             want = search._merge(
-                net.labels, [(net, recursive_search_task(ps, net, seed, mode))],
-                mode)
+                net.labels, [(net, oracle_task(ps, net, seed, mode))], mode)
             assert_same_result(got, want)
             public = admissible_assignments(ps, mode=mode, fixed=fixed)
             assert_component_result(public, want, component_sets(ps), fixed,
@@ -474,7 +504,8 @@ class TestKernelAgainstRecursiveOracle:
     @pytest.mark.parametrize("n, nodes", [(6, 453), (8, 2207)])
     def test_connected_root_systems(self, n, nodes):
         # the D_n root rays are one component with n * 2^(n-1) models, so
-        # every node is searched on one network
+        # every node is searched on one network; `all` visits every model
+        # (for `count`'s nodes see TestCachedCount)
         ps = d_roots(n)
         assert len(components(ps)) == 1
         for mode in ("first", "all", "count"):
@@ -482,6 +513,7 @@ class TestKernelAgainstRecursiveOracle:
             assert_same_result(admissible_assignments(ps, mode=mode), result)
             if mode != "first":
                 assert result.count == n * 2 ** (n - 1)
+            if mode == "all":
                 assert result.nodes_explored == nodes
 
     def test_thousands_of_free_variables_need_no_recursion(self):
@@ -495,6 +527,86 @@ class TestKernelAgainstRecursiveOracle:
         assert result.status == "SAT"
         assert result.nodes_explored == n + 1
         assert set(result.witness.values.values()) == {1}
+
+
+def disjoint_triads(k: int, seed: int) -> ProjectorSet:
+    """k orthogonal bases of Q^3 with no ray orthogonal or proportional to
+    a ray of another basis: k components of one context each."""
+    rng = Random(seed)
+    rays = []
+    while len(rays) < 3 * k:
+        basis = random_orthogonal_basis(rng, 3)
+        if all(v.dot(r) and v.dot(v) * r.dot(r) != v.dot(r) ** 2
+               for v in basis for r in rays):
+            rays += basis
+    return ProjectorSet(3, {f"t{i:02d}": projector_from_span([r])
+                            for i, r in enumerate(rays)})
+
+
+class TestCachedCount:
+    """`count` walks to the first witness, then counts each residual
+    component once per search."""
+
+    @pytest.mark.parametrize("n, models, nodes", [
+        (4, 64, 22), (6, 192, 132), (8, 1024, 262), (10, 5120, 436)])
+    def test_root_systems(self, n, models, nodes):
+        # n * 2^(n-1) models for n >= 6; D4 has more
+        assert n < 6 or models == n * 2 ** (n - 1)
+        ps = d_roots(n)
+        first = admissible_assignments(ps, mode="first")
+        for _ in range(2):      # nothing is kept from one search to the next
+            result = admissible_assignments(ps, mode="count")
+            assert (result.status, result.count, result.nodes_explored) == \
+                ("SAT", models, nodes)
+            assert result.witness == first.witness
+            assert list(result.witness.values) == list(first.witness.values)
+
+    def test_disjoint_triads_cost_one_node_more_each(self):
+        # 3 models a triad: the walk is 4 nodes a triad, the count 4 nodes
+        # and its witness walk 1 more
+        ps = disjoint_triads(12, seed=5)
+        assert [len(net.labels) for net in components(ps)] == [3] * 12
+        result = admissible_assignments(ps, mode="count")
+        assert (result.count, result.nodes_explored) == (3 ** 12, 1 + 12 * 5)
+        few = disjoint_triads(4, seed=5)
+        walked = admissible_assignments(few, mode="all")
+        assert (walked.count, walked.nodes_explored) == (3 ** 4, 1 + 4 * 4)
+
+    def test_counts_match_brute_force(self):
+        rng = Random(1212)
+        corpora = []
+        while len(corpora) < 80:
+            ps = (random_ray_corpus(rng, rng.randint(2, 4), max_rays=12)
+                  if len(corpora) % 2 else
+                  random_split_corpus(rng, rng.randint(2, 4), max_rays=5))
+            if len(ps) <= 12:
+                corpora.append(ps)
+        assert max(map(len, corpora)) == 12
+        counts = set()
+        for ps in corpora:
+            _, models = brute_admissible(ps)
+            labels = sorted(ps.projectors)
+            for fixed in ({}, {labels[0]: 1}, {labels[-1]: 0}):
+                want = sum(all((l in m) == bool(v) for l, v in fixed.items())
+                           for m in models)
+                got = admissible_assignments(ps, mode="count", fixed=fixed)
+                assert got.count == want
+                counts.add(want)
+        assert max(counts) > 100
+
+    def test_count_needs_no_recursion(self):
+        # a recursive counter nests one frame or more per decision level
+        ps = d_roots(10)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            result = admissible_assignments(ps, mode="count")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (result.status, result.count) == ("SAT", 5120)
 
 
 def interleaved_pairs():
@@ -524,13 +636,13 @@ ROTATION = ((327, -804, 208, -504), (-156, 487, -24, -888),
 
 def monolithic(ps, fixed, mode):
     """One `_search_task` over the whole network, merged as one part, and
-    checked against the recursive oracle."""
+    checked against `oracle_task`."""
     net = whole_network(ps)
     seed = search._seed_from_fixed(net, fixed)
     result = search._merge(
         net.labels, [(net, search._search_task(net, seed, mode))], mode)
     assert_same_result(result, search._merge(
-        net.labels, [(net, recursive_search_task(ps, net, seed, mode))], mode))
+        net.labels, [(net, oracle_task(ps, net, seed, mode))], mode))
     return result
 
 
@@ -688,13 +800,13 @@ class TestComponents:
                for l, r in rays.items() if l != "P4_4"}})
         parts = component_sets(ps)
         assert len(parts) == 2
-        got = admissible_assignments(ps, mode="count")
-        want = monolithic(ps, {}, "count")
+        got = admissible_assignments(ps, mode="all")
+        want = monolithic(ps, {}, "all")
         assert_same_answer(got, want)
         assert got.status == "SAT"
         assert set(want.violated_members) == {"P6_1", "P6_2", "P6_3", "P6_4"}
         assert (got.violated_context, got.violated_members) == \
-            component_oracle(parts, {}, "count")[1]
+            component_oracle(parts, {}, "all")[1]
         assert set(got.violated_members) == \
             {"QP6_1", "QP6_2", "QP6_3", "QP6_4"}
 
