@@ -26,8 +26,8 @@ from . import corpus
 from .contexts import UnknownLabelError, find_maximal_contexts, validate_context
 from .search import (InconsistentAssignmentError, admissible_assignments,
                      localized_indefiniteness_certificate)
-from .valuation import (StateVector, TruthValue, ZeroStateError, born_value,
-                        evaluate_bivalent, evaluate_context,
+from .valuation import (ContextValuation, StateVector, TruthValue,
+                        ZeroStateError, born_value, evaluate_bivalent,
                         localize_indefiniteness)  # noqa: F401
 from .linalg import Vector
 
@@ -201,9 +201,12 @@ def _cmd_eval(args, cf, ps):
                "semantics": args.semantics, "contexts": []}
     lines = [f"state: ({', '.join(str(e) for e in vector.entries)})"]
     bivalent = args.semantics == "bivalent"
+    if bivalent:    # each projector judged once for the state
+        truth = {l: evaluate_bivalent(state, p) for l, p in ps.projectors.items()}
     for ctx in ps.contexts or find_maximal_contexts(ps):
         if bivalent:
-            valuation = evaluate_context(state, ps, ctx)
+            valuation = ContextValuation(ctx, tuple(map(truth.__getitem__,
+                                                        ctx.members)))
             key, shown = "values", [t.value for t in valuation.values]
             total = "undefined" if valuation.total is None else valuation.total
         else:
@@ -216,8 +219,7 @@ def _cmd_eval(args, cf, ps):
         rendered = " ".join(f"{m}={v}" for m, v in zip(ctx.members, shown))
         lines.append(f"context {ctx.label or '?'}: {rendered}  sum={total}")
     if bivalent:
-        payload["gaps"] = [l for l, p in ps.projectors.items()
-                           if evaluate_bivalent(state, p) is TruthValue.GAP]
+        payload["gaps"] = [l for l, t in truth.items() if t is TruthValue.GAP]
         lines.append("gaps: " + (" ".join(payload["gaps"]) or "none"))
     return payload, lines, EXIT_OK
 
@@ -305,7 +307,11 @@ def _render_json(obj, depth: int = 0) -> str:
     else:
         parts = [_render_json(v, depth + 1) for v in obj]
     opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{closing}"
+    # the brackets go onto the end parts, so that one join copies a long
+    # part and at most two copies of it live at once
+    parts[0] = f"{opening}\n{inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}\n{outer}{closing}"
+    return f",\n{inner}".join(parts)
 
 
 def _render_flat_items(items, depth: int, kinds) -> str:
@@ -319,8 +325,10 @@ def _render_flat_items(items, depth: int, kinds) -> str:
     for (_, closing), (opening, _) in itertools.product(brackets, repeat=2):
         text = text.replace(f"{closing},\n{deeper}{opening}",
                             f"\n{inner}{closing},\n{inner}{opening}\n{deeper}")
-    return (f"[\n{inner}{text[1]}\n{deeper}{text[2:-2]}"
-            f"\n{inner}{text[-2]}\n{'  ' * depth}]")
+    head = f"[\n{inner}{text[1]}\n{deeper}"
+    tail = f"\n{inner}{text[-2]}\n{'  ' * depth}]"
+    text = text[2:-2]       # the full text is freed before the join
+    return "".join((head, text, tail))
 
 
 # ---------------------------------------------------------------------------

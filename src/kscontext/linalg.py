@@ -392,7 +392,7 @@ class Projector:
             raise ValueError("projector matrix must be square")
         if not matrix.is_symmetric():
             raise ValueError("projector matrix must be symmetric")
-        if matrix @ matrix != matrix:
+        if not matrix.is_idempotent():
             raise ValueError("projector matrix must be idempotent")
         self._matrix = matrix
         self._label = label
@@ -546,27 +546,21 @@ def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
     """Orthogonal projector onto span{vectors}.
 
     Linearly dependent spanning sets are reduced, not rejected.  The
-    matrix is assembled from an unnormalized Gram-Schmidt basis u_i as
-    sum_i (u_i u_i^T) / (u_i . u_i), which keeps everything in Q.
+    matrix is assembled as sum_w (w w^T) / (w . w) over the fraction-free
+    Gram-Schmidt basis w of the span, which seeds both range bases.
     """
     vecs = [v if isinstance(v, Vector) else Vector(v) for v in vectors]
     if not vecs:
         raise ValueError("projector_from_span needs at least one vector")
     span = Subspace.from_span(vecs)
-    d = span.dim_ambient
-    ortho: list[Vector] = []
-    for v in span.basis:
-        u = v
-        for w in ortho:
-            u = u - (v.dot(w) / w.dot(w)) * w
-        ortho.append(u)
-    result = Matrix.zero(d)
-    for u in ortho:
-        nrm = u.dot(u)
-        outer = Matrix([[a * b / nrm for b in u.entries] for a in u.entries])
-        result = result + outer
+    basis = _primitive_basis(span)
+    ortho = basis if len(basis) < 2 else _orthogonalized(basis)
+    result = Matrix.zero(span.dim_ambient)
+    for w in ortho:
+        ww = sum(map(operator.mul, w, w))
+        result = result + Matrix([[Fraction(a * b, ww) for b in w] for a in w])
     p = Projector(result, label)
-    p._basis = _primitive_basis(span)
+    p._basis, p._ortho = basis, ortho
     return p
 
 

@@ -10,17 +10,19 @@ certificates, never heuristic.
 
 Every constraint lives inside one connected component of the
 orthogonality graph (a maximal context is a clique, a forced value
-touches one projector).  So the search builds one constraint network per
-component from the set's one graph and its maximal contexts, searches
-each on its own and combines them: UNSAT iff some component is UNSAT,
-the model count is the product of the component counts, and the
-witnesses are the Cartesian product of the component witnesses, in the
-order a single search over the whole set finds them.  A SAT result
-always has a witness, the empty one for an empty set.  `nodes_explored`
-is one root for the whole search plus, for every component searched,
-its nodes less its own root.  Components are searched in order of their
-lowest decision index, up to the first UNSAT one; `violated_context` is
-the last conflict of the last component that had one.
+touches one projector).  So the search builds the set's one constraint
+network, takes each component as a mask of its variables, searches each
+on its own and combines them: UNSAT iff some component is UNSAT, the
+model count is the product of the component counts, and the witnesses
+are the Cartesian product of the component witnesses, in the order a
+single search over the whole set finds them.  A component is searched
+from the state in which every variable outside it is assigned 0, which
+no rule of the component can see.  A SAT result always has a witness,
+the empty one for an empty set.  `nodes_explored` is one root for the
+whole search plus, for every component searched, its nodes less its own
+root.  Components are searched in order of their lowest decision index,
+up to the first UNSAT one; `violated_context` is the last conflict of
+the last component that had one.
 
 A network holds its constraints as int bitsets in which bit k stands for
 the variable at decision index k: each variable's orthogonal neighbours,
@@ -45,12 +47,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
 from .contexts import (Context, ProjectorSet, UnknownLabelError, _digits,
-                       _members, _parts, find_maximal_contexts,
+                       _FLAGS, _members, _parts, find_maximal_contexts,
                        orthogonality_graph)
 
 Mode = Literal["first", "all", "count"]
@@ -134,7 +135,7 @@ def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int
     unassigned member is undetermined unless it already holds two 1s.
     """
     values = _checked_values(ps, assignment)
-    return list(_violations(_whole_network(ps, _plan(ps)), values))
+    return list(_violations(_network(ps), values))
 
 
 def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
@@ -154,8 +155,9 @@ def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
 
 @dataclass(frozen=True)
 class _Network:
-    """The constraints on variables by decision index, as bitsets in which
-    bit k stands for the variable at index k."""
+    """The constraints of a whole set on its variables by decision index,
+    as bitsets in which bit k stands for the variable at index k.  A
+    connected component of the orthogonality graph is a mask of it."""
 
     labels: tuple[str, ...]                 # decision order
     index: dict[str, int]                   # label -> position in labels
@@ -166,12 +168,9 @@ class _Network:
     forced: tuple[tuple[int, int], ...]     # (var, value) for zero/identity
 
 
-def _plan(ps: ProjectorSet):
-    """What every network of the set is built from: its orthogonality
-    graph, its maximal contexts, for each label the indices of the
-    contexts holding it, and each label's place in the decision order.
-    One call each of `orthogonality_graph` and `find_maximal_contexts`
-    per search."""
+def _network(ps: ProjectorSet) -> _Network:
+    """The set's one network, from one call each of `orthogonality_graph`
+    and `find_maximal_contexts`; `forced` runs in set order."""
     maximal = find_maximal_contexts(ps)
     holding: dict[str, list[int]] = {l: [] for l in ps.projectors}
     for c, ctx in enumerate(maximal):
@@ -179,42 +178,15 @@ def _plan(ps: ProjectorSet):
             holding[m].append(c)
     # most-constrained labels first; pure performance, correctness is
     # order-independent and tested as such
-    order = sorted(ps.projectors, key=lambda l: (-len(holding[l]), l))
-    return (orthogonality_graph(ps), maximal, holding,
-            {l: i for i, l in enumerate(order)})
-
-
-def _build_network(ps: ProjectorSet, plan, labels: tuple[str, ...]) -> _Network:
-    """The network on `labels` (in set order), whole connected components
-    of the graph, in the set's relative decision order."""
-    graph, all_maximal, holding, rank = plan
-    order = sorted(labels, key=rank.__getitem__)
+    order = tuple(sorted(ps.projectors, key=lambda l: (-len(holding[l]), l)))
     index = {l: i for i, l in enumerate(order)}
-    ids = sorted({c for l in labels for c in holding[l]})
-    local = {c: k for k, c in enumerate(ids)}
-    maximal = tuple(all_maximal[c] for c in ids)
     contexts = tuple(sum(1 << index[m] for m in ctx.members) for ctx in maximal)
-    contexts_of = tuple(tuple(map(local.__getitem__, holding[l])) for l in order)
     # rank 0 is the zero projector, rank d the identity
-    forced = tuple((index[l], int(ps[l].rank > 0)) for l in labels
-                   if ps[l].rank in (0, ps.dimension))
-    return _Network(tuple(order), index, graph.adjacency(order), maximal,
-                    contexts, contexts_of, forced)
-
-
-def _whole_network(ps: ProjectorSet, plan) -> _Network:
-    """The network of every label, whose rules run in the whole set's
-    order; `check_assignment` and the check of `fixed` judge on it."""
-    return _build_network(ps, plan, tuple(ps.projectors))
-
-
-def _components(ps: ProjectorSet, plan) -> list[_Network]:
-    """One network per connected component of the orthogonality graph, in
-    order of the component's lowest decision index.  No rule crosses a
-    component: a maximal context is a clique, a pair an edge."""
-    graph, *_, rank = plan
-    nets = [_build_network(ps, plan, part) for part in graph.components()]
-    return sorted(nets, key=lambda net: rank[net.labels[0]])
+    forced = tuple((index[l], int(p.rank > 0)) for l, p in ps.projectors.items()
+                   if p.rank in (0, ps.dimension))
+    return _Network(order, index, orthogonality_graph(ps).adjacency(order),
+                    maximal, contexts, tuple(tuple(holding[l]) for l in order),
+                    forced)
 
 
 def _violations(net: _Network, values: Mapping[str, int]):
@@ -285,6 +257,9 @@ def _assign(net: _Network, assigned: int, ones: int, var: int, val: int):
 
 
 class _Acc:
+    """What one component's search found; a model is the int of its
+    variables that are 1."""
+
     __slots__ = ("nodes", "count", "first", "solutions", "last_conflict")
 
     def __init__(self):
@@ -293,17 +268,6 @@ class _Acc:
         self.first = None
         self.solutions = []
         self.last_conflict = None
-
-
-def _record_solution(net: _Network, ones: int, mode: Mode, acc: _Acc) -> bool:
-    acc.count += 1
-    if acc.first is None or mode == "all":
-        values = tuple(map(int, _digits(ones, len(net.labels))))
-        if acc.first is None:
-            acc.first = dict(zip(net.labels, values))
-        if mode == "all":
-            acc.solutions.append(values)
-    return mode == "first"
 
 
 def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool:
@@ -320,8 +284,14 @@ def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool
         var = (~assigned & (assigned + 1)).bit_length() - 1   # lowest free
         if var < n:
             stack.append([var, 1, assigned, ones])
-        elif _record_solution(net, ones, mode, acc):
-            return True
+        else:
+            acc.count += 1
+            if acc.first is None:
+                acc.first = ones
+            if mode == "all":
+                acc.solutions.append(ones)
+            elif mode == "first":
+                return True
         # the next value of the deepest frame that has one left
         while stack:
             frame = stack[-1]
@@ -339,7 +309,7 @@ def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool
             return False
 
 
-def _propagate(net: _Network, seed, assigned: int = 0, ones: int = 0):
+def _propagate(net: _Network, seed, assigned: int, ones: int):
     """Assign the (var, value) pairs of `seed` in turn from the state
     (assigned, ones); the first conflict, or None, and the state reached."""
     for var, val in seed:
@@ -350,13 +320,14 @@ def _propagate(net: _Network, seed, assigned: int = 0, ones: int = 0):
 
 
 def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode,
-                 state: tuple[int, int] = (0, 0)):
-    """Exhaust the network under `seed`, propagated from `state`: (count,
-    first witness as a dict, witnesses as value tuples in decision order,
-    nodes, last conflict as an index into `net.maximal`).
+                 state: tuple[int, int]) -> _Acc:
+    """Exhaust the network under `seed`, propagated from `state`, the pair
+    (assigned, ones).  A component is searched from a state in which every
+    variable outside it is assigned 0.
 
-    `count` walks as `first` does, which on an UNSAT network is the whole
-    tree, and counts only once it has a witness, with `_count_models`."""
+    `count` walks as `first` does, which on an UNSAT component is the
+    whole tree, and counts only once it has a witness, with
+    `_count_models`."""
     acc = _Acc()
     acc.nodes += 1
     conflict, assigned, ones = _propagate(net, seed, *state)
@@ -365,7 +336,7 @@ def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode,
     elif (_dfs(net, assigned, ones, "first" if mode == "count" else mode, acc)
           and mode == "count"):
         acc.count = _count_models(net, assigned, acc)
-    return acc.count, acc.first, acc.solutions, acc.nodes, acc.last_conflict
+    return acc
 
 
 def _count_models(net: _Network, assigned: int, acc: _Acc) -> int:
@@ -420,66 +391,58 @@ def _count_models(net: _Network, assigned: int, acc: _Acc) -> int:
             stack[-1][4] *= total
 
 
-def _merge(labels: tuple[str, ...], parts, mode: Mode) -> SearchResult:
-    """One result from the searches of the disjoint components of a set
-    whose decision order is `labels`, each part a network and its
-    `_search_task` result.
+def _merge(net: _Network, accs: list[_Acc], mode: Mode) -> SearchResult:
+    """One result from the searches of disjoint components of the network.
 
-    Models are the products of component models.  A witness lists its
-    labels in decision order, and the witnesses run in descending
-    lexicographic order of their values in decision order: that is the
-    order of a single search, which tries 1 before 0 on the lowest
-    undecided variable.  The nodes count one root for the whole search;
-    the last conflict is that of the last component that had one.
+    Models are the sums of component models, whose bits are disjoint.  A
+    witness lists its labels in decision order, and the witnesses run in
+    descending lexicographic order of their values in decision order:
+    that is the order of a single search, which tries 1 before 0 on the
+    lowest undecided variable.  The nodes count one root for the whole
+    search; the last conflict is that of the last component that had one.
     """
-    count = math.prod(p[0] for _, p in parts)
-    nodes = 1 + sum(p[3] - 1 for _, p in parts)
-    violated = None, None
-    for net, p in parts:
-        if p[4] is not None:        # -1: no single context to blame
-            violated = (None, None) if p[4] < 0 else (
-                net.maximal[p[4]].display_name(),
-                tuple(_members(net.labels, net.contexts[p[4]])))
-    witness = solutions = None
+    count = math.prod(acc.count for acc in accs)
+    nodes = 1 + sum(acc.nodes - 1 for acc in accs)
+    conflict = None
+    for acc in accs:
+        if acc.last_conflict is not None:
+            conflict = acc.last_conflict
+    violated = (None, None) if conflict is None or conflict < 0 else (
+        net.maximal[conflict].display_name(),
+        tuple(_members(net.labels, net.contexts[conflict])))
+    n = len(net.labels)
+    witness, witnesses = None, ()
     if count:
-        row = _row_builder(labels, [net.labels for net, _ in parts])
-        witness = dict(zip(labels, row([tuple(p[1].values()) for _, p in parts])))
+        witness = Assignment(dict(zip(net.labels, _row(
+            sum(acc.first for acc in accs), n))))
         if mode == "all":
-            rows = sorted(map(row, itertools.product(*(p[2] for _, p in parts))),
+            rows = sorted((_row(sum(combo), n) for combo in
+                           itertools.product(*(acc.solutions for acc in accs))),
                           reverse=True)
-            solutions = [dict(zip(labels, r)) for r in rows]
+            witnesses = tuple(Assignment(dict(zip(net.labels, row)))
+                              for row in rows)
     return SearchResult(
         status="SAT" if count else "UNSAT",
-        witness=None if witness is None else Assignment(witness),
+        witness=witness,
         nodes_explored=nodes,
         count=None if mode == "first" else count,
-        witnesses=tuple(map(Assignment, solutions or ()))
-        if mode == "all" else None,
+        witnesses=witnesses if mode == "all" else None,
         violated_context=violated[0],
         violated_members=violated[1],
     )
 
 
-def _row_builder(labels: tuple[str, ...], orders):
-    """A function from one value tuple per component to the values of
-    `labels` in decision order.  A component's values follow its own
-    decision order, `orders[k]`."""
-    joined = [l for order in orders for l in order]
-    if joined == list(labels):      # also when there are 0 or 1 labels
-        return _concat
-    position = {l: i for i, l in enumerate(joined)}
-    pick = operator.itemgetter(*map(position.__getitem__, labels))
-    return lambda combo: pick(_concat(combo))
+def _row(ones: int, n: int) -> bytes:
+    """The values of variables 0 to n - 1 of a model, as the bytes 0 and 1."""
+    return _digits(ones, n).encode().translate(_FLAGS)
 
 
-def _concat(tuples) -> tuple:
-    return tuple(itertools.chain.from_iterable(tuples))
-
-
-def _seed_from_fixed(net: _Network, fixed: Mapping[str, int]):
-    """Forced values, then the fixed values of the network's own labels."""
-    return net.forced + tuple((net.index[l], v) for l, v in fixed.items()
-                              if l in net.index)
+def _seed(net: _Network, comp: int, fixed: Mapping[str, int]):
+    """The forced values, then the fixed values, of the variables in the
+    mask `comp`."""
+    return (tuple((v, x) for v, x in net.forced if comp >> v & 1)
+            + tuple((net.index[l], x) for l, x in fixed.items()
+                    if comp >> net.index[l] & 1))
 
 
 def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
@@ -492,15 +455,15 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
     `fixed` pins labels before the search starts.
     """
     fixed = _checked_values(ps, fixed or {})
-    plan = _plan(ps)
-    parts = []      # up to and including the first UNSAT component
-    for net in _components(ps, plan):
-        part = _search_task(net, _seed_from_fixed(net, fixed), mode)
-        parts.append((net, part))
-        if not part[0]:
+    net = _network(ps)
+    full = (1 << len(net.labels)) - 1
+    accs = []       # up to and including the first UNSAT component
+    for comp in _parts(net.adj, full):
+        acc = _search_task(net, _seed(net, comp, fixed), mode, (full & ~comp, 0))
+        accs.append(acc)
+        if not acc.count:
             break
-    *_, rank = plan
-    return _merge(tuple(rank), parts, mode)
+    return _merge(net, accs, mode)
 
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
@@ -541,34 +504,40 @@ def localized_indefiniteness_certificate(
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
-    plan = _plan(ps)
+    net = _network(ps)
     # the first broken rule is reported, in the order check_assignment gives
-    _validate_fixed_locally(_whole_network(ps, plan), fixed)
-    components = _components(ps, plan)
-    component_of = {l: sub for sub in components for l in sub.labels}
-    start: dict[tuple[str, ...], tuple[int, int]] = {}   # by component labels
+    _validate_fixed_locally(net, fixed)
+    full = (1 << len(net.labels)) - 1
+    components = _parts(net.adj, full)
+    component_of = {l: comp for comp in components
+                    for l in _members(net.labels, comp)}
+    start: dict[int, tuple[int, int]] = {}      # by component mask
     witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
 
-    def find_witness(sub: _Network, seed) -> bool:
-        _, first, _, _, _ = _search_task(sub, seed, "first", start[sub.labels])
-        witnessed.update((first or {}).items())
-        return first is not None
+    def find_witness(comp: int, seed) -> bool:
+        first = _search_task(net, seed, "first", start[comp]).first
+        if first is None:
+            return False
+        witnessed.update(zip(_members(net.labels, comp),
+                             _members(_row(first, len(net.labels)), comp)))
+        return True
 
-    def consistent_alone(sub: _Network) -> bool:
-        conflict, assigned, ones = _propagate(sub, _seed_from_fixed(sub, fixed))
-        start[sub.labels] = assigned, ones
-        return conflict is None and find_witness(sub, ())
+    def consistent_alone(comp: int) -> bool:
+        conflict, assigned, ones = _propagate(net, _seed(net, comp, fixed),
+                                              full & ~comp, 0)
+        start[comp] = assigned, ones
+        return conflict is None and find_witness(comp, ())
 
     # all() stops at the first UNSAT component; the witnesses of the SAT
     # components before it extend to no total assignment, so drop them
-    consistent = all(consistent_alone(sub) for sub in components)
+    consistent = all(consistent_alone(comp) for comp in components)
     if not consistent:
         witnessed.clear()
 
     def satisfiable(label: str, value: int) -> bool:
-        sub = component_of[label]
         return (label, value) in witnessed or (
-            consistent and find_witness(sub, ((sub.index[label], value),)))
+            consistent and find_witness(component_of[label],
+                                        ((net.index[label], value),)))
 
     verdicts: dict[str, PinVerdict] = {}
     for label in sorted(ps.projectors):

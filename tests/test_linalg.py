@@ -12,12 +12,13 @@ from random import Random
 
 import pytest
 
-from kscontext import (Matrix, Projector, Subspace, Vector, column_space,
-                       complement, contains, is_orthogonal, join, meet,
-                       member, null_space, orthocomplement,
-                       projector_from_span, rref)
+from kscontext import (BUILTIN_NAMES, Matrix, Projector, Subspace, Vector,
+                       builtin, column_space, complement, contains,
+                       is_orthogonal, join, meet, member, null_space,
+                       orthocomplement, projector_from_span, rref)
 
-from _gen import random_orthogonal_basis, random_subspace, random_vector
+from _gen import (gram_schmidt, random_orthogonal_basis, random_subspace,
+                  random_vector)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -105,6 +106,39 @@ class TestProjectorFromSpan:
         assert p.rank == 2
         assert p.matrix == Matrix([[1, 0, 0, 0], [0, 1, 0, 0],
                                    [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def gram_schmidt_matrix(vectors) -> Matrix:
+    """sum_u (u u^T) / (u . u) over the Fraction Gram-Schmidt basis of the
+    RREF basis of the span: the construction `projector_from_span` used
+    before it read the fraction-free basis."""
+    span = Subspace.from_span(vectors)
+    total = Matrix.zero(span.dim_ambient)
+    for u in gram_schmidt(list(span.basis)):
+        nrm = u.dot(u)
+        total = total + Matrix([[a * b / nrm for b in u] for a in u])
+    return total
+
+
+class TestSpanMatrixAgainstGramSchmidt:
+    def test_every_rank_up_to_dimension_five(self):
+        rng = Random(2718)
+        ranks = set()
+        for d in range(1, 6):
+            for r in range(d + 1):
+                for _ in range(8):
+                    vectors = [random_vector(rng, d) for _ in range(r)]
+                    # a dependent spanner, or the zero vector for rank 0
+                    vectors.append(sum(vectors, Vector([0] * d)))
+                    p = projector_from_span(vectors)
+                    assert p.matrix == gram_schmidt_matrix(vectors)
+                    ranks.add((d, p.rank))
+        assert ranks == {(d, r) for d in range(1, 6) for r in range(d + 1)}
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        for p in builtin(name).projectors.values():
+            assert p.matrix == gram_schmidt_matrix(p.range_basis)
 
 
 class TestComplement:

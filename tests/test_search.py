@@ -17,6 +17,7 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        localized_indefiniteness_certificate,
                        orthogonality_graph, parse, projector_from_span,
                        to_projector_set)
+from kscontext.contexts import OrthogonalityGraph, _members, _parts
 
 from _gen import (brute_admissible, d_roots, first_shared_context,
                   graph_components, oracle_adjacency, peres24,
@@ -346,7 +347,7 @@ class TestOneAdmissibilityRule:
         ps = ProjectorSet(2, {"x": projector_from_span([(1, 0)]),
                               "y": projector_from_span([(0, 1)]),
                               "I": projector_from_span([(1, 0), (0, 1)])})
-        assert [net.labels for net in components(ps)] == [("x", "y"), ("I",)]
+        assert components(ps) == [("x", "y"), ("I",)]
         fixed = {"x": 1, "y": 1, "I": 0}
         assert summary(check_assignment(ps, fixed)) == \
             [("forced", ("I",), 0), ("context", ("x", "y"), 2)]
@@ -406,30 +407,57 @@ def oracle_task(ps, net, seed, mode):
 
 
 def whole_network(ps):
-    """The network of the whole set, as `check_assignment` builds it."""
-    return search._build_network(ps, search._plan(ps), tuple(ps.projectors))
+    """The set's one network, which every public call builds."""
+    return search._network(ps)
+
+
+def full_mask(net):
+    return (1 << len(net.labels)) - 1
 
 
 def components(ps):
-    """The component networks that `admissible_assignments` searches."""
-    return search._components(ps, search._plan(ps))
+    """The components that `admissible_assignments` searches, each as the
+    labels of its mask in decision order."""
+    net = whole_network(ps)
+    return [tuple(_members(net.labels, comp))
+            for comp in _parts(net.adj, full_mask(net))]
+
+
+def seed_of(net, fixed):
+    """The seed of the whole network: forced values, then the fixed
+    values of its labels."""
+    return search._seed(net, full_mask(net),
+                        {l: v for l, v in fixed.items() if l in net.index})
 
 
 def component_sets(ps):
     """Each connected component of `ps` as a set of its own, with its
     network, in order of its first label in the whole set's decision
-    order.  The search's component networks are these, field by field."""
+    order.  The search's component masks hold these labels."""
     order = whole_network(ps).labels
+    found = graph_components(ps, order)
+    assert components(ps) == found
     parts = []
-    for component in graph_components(ps, order):
+    for component in found:
         sub = ProjectorSet(ps.dimension, {l: ps[l] for l in component},
                            [c for c in ps.contexts
                             if set(c.members) <= set(component)])
         net = whole_network(sub)
         assert net.labels == component      # the relative decision order
         parts.append((sub, net))
-    assert components(ps) == [net for _, net in parts]
     return parts
+
+
+def as_acc(net, task):
+    """A recursive oracle's (count, first, solutions, nodes, conflict) as
+    the `_Acc` record of the search, each model as the int of its 1s."""
+    count, first, solutions, nodes, conflict = task
+    acc = search._Acc()
+    acc.count, acc.nodes, acc.last_conflict = count, nodes, conflict
+    if first is not None:
+        acc.first = sum(v << net.index[l] for l, v in first.items())
+    acc.solutions = [sum(v << i for i, v in enumerate(row)) for row in solutions]
+    return acc
 
 
 def component_oracle(parts, fixed, mode):
@@ -441,7 +469,7 @@ def component_oracle(parts, fixed, mode):
     nodes, violated = 1, (None, None)
     for sub, net in parts:
         count, _, _, part_nodes, conflict = oracle_task(
-            sub, net, search._seed_from_fixed(net, fixed), mode)
+            sub, net, seed_of(net, fixed), mode)
         nodes += part_nodes - 1
         if conflict is not None:
             violated = (None, None) if conflict < 0 else (
@@ -469,11 +497,11 @@ class TestKernelAgainstRecursiveOracle:
         checked = 0
         for ps, fixed in oracle_cases():
             net = whole_network(ps)
-            seed = search._seed_from_fixed(net, fixed)
+            seed = seed_of(net, fixed)
             got = search._merge(
-                net.labels, [(net, search._search_task(net, seed, mode))], mode)
+                net, [search._search_task(net, seed, mode, (0, 0))], mode)
             want = search._merge(
-                net.labels, [(net, oracle_task(ps, net, seed, mode))], mode)
+                net, [as_acc(net, oracle_task(ps, net, seed, mode))], mode)
             assert_same_result(got, want)
             public = admissible_assignments(ps, mode=mode, fixed=fixed)
             assert_component_result(public, want, component_sets(ps), fixed,
@@ -565,7 +593,7 @@ class TestCachedCount:
         # 3 models a triad: the walk is 4 nodes a triad, the count 4 nodes
         # and its witness walk 1 more
         ps = disjoint_triads(12, seed=5)
-        assert [len(net.labels) for net in components(ps)] == [3] * 12
+        assert list(map(len, components(ps))) == [3] * 12
         result = admissible_assignments(ps, mode="count")
         assert (result.count, result.nodes_explored) == (3 ** 12, 1 + 12 * 5)
         few = disjoint_triads(4, seed=5)
@@ -638,11 +666,11 @@ def monolithic(ps, fixed, mode):
     """One `_search_task` over the whole network, merged as one part, and
     checked against `oracle_task`."""
     net = whole_network(ps)
-    seed = search._seed_from_fixed(net, fixed)
+    seed = seed_of(net, fixed)
     result = search._merge(
-        net.labels, [(net, search._search_task(net, seed, mode))], mode)
+        net, [search._search_task(net, seed, mode, (0, 0))], mode)
     assert_same_result(result, search._merge(
-        net.labels, [(net, oracle_task(ps, net, seed, mode))], mode))
+        net, [as_acc(net, oracle_task(ps, net, seed, mode))], mode))
     return result
 
 
@@ -682,8 +710,7 @@ class TestComponents:
         ps = interleaved_pairs()
         net = whole_network(ps)
         assert net.labels == ("p1", "p2", "p3", "p4")
-        assert [sub.labels for sub in components(ps)] == \
-            [("p1", "p4"), ("p2", "p3")]
+        assert components(ps) == [("p1", "p4"), ("p2", "p3")]
         result = admissible_assignments(ps, mode="all")
         # descending in (p1, p2, p3, p4), not component by component
         assert [tuple(w.values.values()) for w in result.witnesses] == [
@@ -832,25 +859,54 @@ class TestComponents:
                 list(plain_certificate(ps, fixed).items())
 
     def test_localize_searches_one_component_per_pin(self, monkeypatch):
-        searched = []
-        original = search._search_task
-        monkeypatch.setattr(search, "_search_task", lambda net, *a: (
-            searched.append(frozenset(net.labels)) or original(net, *a)))
+        # every propagation starts from a state in which each variable
+        # outside the component of the one it assigns is assigned 0, and
+        # changes no variable there
+        untouched = []
+        original = search._assign
+
+        def spy(net, assigned, ones, var, val):
+            found = original(net, assigned, ones, var, val)
+            full = full_mask(net)
+            comp = next(c for c in _parts(net.adj, full) if c >> var & 1)
+            _, after, after_ones = found
+            untouched.append(assigned & ~comp == full & ~comp
+                             and not (ones | after_ones) & ~comp
+                             and not (after ^ assigned) & ~comp)
+            return found
+
+        monkeypatch.setattr(search, "_assign", spy)
         rng = Random(4242)
         corpora = 0
         while corpora < 40:
             ps = random_split_corpus(rng, rng.randint(2, 4), max_rays=5)
-            components = {frozenset(net.labels) for _, net in component_sets(ps)}
-            if len(components) < 2:
+            if len(component_sets(ps)) < 2:
                 continue
             corpora += 1
             first = sorted(ps.projectors)[0]
             for fixed in ({}, {first: 1}, {first: 0}):
-                searched.clear()
+                untouched.clear()
                 try:
                     verdicts = localized_indefiniteness_certificate(ps, fixed)
                 except InconsistentAssignmentError:
                     continue
-                assert set(searched) <= components
+                assert untouched and all(untouched)
                 assert list(verdicts.items()) == \
                     list(plain_certificate(ps, fixed).items())
+
+    def test_one_network_per_call(self, monkeypatch):
+        ps = disjoint_triads(12, seed=5)
+        assert len(components(ps)) == 12
+        calls = []
+        original = OrthogonalityGraph.adjacency
+        monkeypatch.setattr(OrthogonalityGraph, "adjacency",
+                            lambda graph, order: calls.append(order)
+                            or original(graph, order))
+        for mode in ("first", "all", "count"):
+            calls.clear()
+            assert admissible_assignments(ps, mode=mode).status == "SAT"
+            assert len(calls) == 1, mode
+        for fixed in ({}, {"t00": 1}):
+            calls.clear()
+            localized_indefiniteness_certificate(ps, fixed)
+            assert len(calls) == 1, fixed
