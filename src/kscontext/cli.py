@@ -58,6 +58,7 @@ def _load(args) -> tuple[corpus.CorpusFile, object, str]:
             cf = corpus.builtin_file(args.builtin)
         except KeyError as e:
             raise _CliError(str(e.args[0]))
+        ps = corpus.builtin(args.builtin)   # cached, self-checked on first use
         source = f"builtin:{args.builtin}"
     else:
         path = Path(args.file)
@@ -69,8 +70,9 @@ def _load(args) -> tuple[corpus.CorpusFile, object, str]:
             cf = corpus.parse(text)
         except corpus.PsetParseError as e:
             raise _CliError(f"{path}: {e}")
+        ps = corpus.to_projector_set(cf)
         source = str(path)
-    return cf, corpus.to_projector_set(cf), source
+    return cf, ps, source
 
 
 def _corpus_summary(cf, ps, source: str) -> dict:
@@ -201,16 +203,20 @@ def _cmd_eval(args, cf, ps):
                "semantics": args.semantics, "contexts": []}
     lines = [f"state: ({', '.join(str(e) for e in vector.entries)})"]
     bivalent = args.semantics == "bivalent"
+    contexts = ps.contexts or find_maximal_contexts(ps)
     if bivalent:    # each projector judged once for the state
         truth = {l: evaluate_bivalent(state, p) for l, p in ps.projectors.items()}
-    for ctx in ps.contexts or find_maximal_contexts(ps):
+    else:           # each member weighed once for the state
+        weight = {m: born_value(state, ps[m]) for m in dict.fromkeys(
+            itertools.chain.from_iterable(ctx.members for ctx in contexts))}
+    for ctx in contexts:
         if bivalent:
             valuation = ContextValuation(ctx, tuple(map(truth.__getitem__,
                                                         ctx.members)))
             key, shown = "values", [t.value for t in valuation.values]
             total = "undefined" if valuation.total is None else valuation.total
         else:
-            weights = [born_value(state, ps[m]) for m in ctx.members]
+            weights = list(map(weight.__getitem__, ctx.members))
             key, shown = "weights", [str(w) for w in weights]
             total = str(sum(weights, Fraction(0)))
         payload["contexts"].append({"context": ctx.label,
@@ -352,6 +358,7 @@ def _glue_negative_states(argv: list[str]) -> list[str]:
     return glued
 
 
+@functools.cache     # one per process: each parse_args makes fresh state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kscontext",
                      description="Exact analysis of projector contexts: "

@@ -88,9 +88,12 @@ def _tokens(line: str):
 
 
 def _parse_rational(tok: str, lineno: int, col: int) -> Fraction:
-    if not _RATIONAL_RE.match(tok):
+    match = _RATIONAL_RE.match(tok)
+    if not match:
         raise PsetParseError(f"bad rational {tok!r}", lineno, col)
     try:
+        if match.lastindex is None:     # an integer: skip Fraction's parser
+            return Fraction(int(tok))
         return Fraction(tok)
     except ZeroDivisionError:
         raise PsetParseError(f"zero denominator in {tok!r}", lineno, col) from None

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, formats, exit statuses."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kscontext
-from kscontext import (admissible_assignments, cli, contexts, emit,
+from kscontext import (admissible_assignments, cli, contexts, corpus, emit,
                        find_maximal_contexts)
 from kscontext.cli import main
 
@@ -64,10 +65,29 @@ class TestValidate:
 
     def test_declared_contexts_checked_once(self, capsys, monkeypatch):
         # each declared pair while loading, then each pair once for the graph
+        corpus.builtin.cache_clear()
         tested = count_orthogonality_tests(monkeypatch)
         status, _, _ = run(capsys, "validate", "--builtin", "cabello-18")
         assert status == 0
         assert len(tested) == 9 * 6 + 18 * 17 // 2
+        # a warm call reuses the cached set, its reports and its graph
+        tested.clear()
+        assert run(capsys, "validate", "--builtin", "cabello-18")[0] == 0
+        assert tested == []
+
+    def test_builtin_runs_its_self_check(self, capsys, monkeypatch):
+        # P8_2 mistyped as P6_2: context C8 is no longer orthogonal
+        text = corpus._BUILTIN_TEXT["cabello-18"]
+        assert "vec P8_2 = -1 1 1 1\n" in text
+        monkeypatch.setitem(corpus._BUILTIN_TEXT, "cabello-18", text.replace(
+            "vec P8_2 = -1 1 1 1\n", "vec P8_2 = 1 1 1 1\n"))
+        corpus.builtin.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="'cabello-18' failed "
+                                                   "self-check: context C8"):
+                main(["validate", "--builtin", "cabello-18"])
+        finally:
+            corpus.builtin.cache_clear()
 
     def test_invalid_context_exits_2_and_names_pair(self, capsys, tmp_path):
         bad = tmp_path / "bad.pset"
@@ -179,11 +199,52 @@ class TestEval:
     def test_eval_builds_no_graph(self, capsys, monkeypatch):
         # only the declared contexts' own pairs, checked while loading
         for semantics in ("bivalent", "born"):
+            corpus.builtin.cache_clear()
             tested = count_orthogonality_tests(monkeypatch)
             status, _, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
                                "--state", "e4", "--semantics", semantics)
             assert status == 0
             assert len(tested) == 2 * 6
+        # a warm call reuses the cached set
+        tested.clear()
+        assert run(capsys, "eval", "--builtin", "cabello-c1c6",
+                   "--state", "e4", "--semantics", "born")[0] == 0
+        assert tested == []
+
+    def count_born_values(self, monkeypatch):
+        weighed = []
+        original = cli.born_value
+        monkeypatch.setattr(cli, "born_value",
+                            lambda state, p: weighed.append(p.label)
+                            or original(state, p))
+        return weighed
+
+    def test_born_weighs_each_member_once(self, capsys, monkeypatch):
+        weighed = self.count_born_values(monkeypatch)
+        status, out, _ = run(capsys, "eval", "--builtin", "cabello-18",
+                             "--state", "e4", "--semantics", "born")
+        assert status == 0 and out.count("sum=1") == 9
+        assert sorted(weighed) == sorted(corpus.builtin("cabello-18").projectors)
+
+    def test_born_weighs_each_peres_ray_once(self, capsys, monkeypatch,
+                                             tmp_path):
+        # the bench's Peres-24 corpus: 24 rays in 24 declared tetrads, each
+        # weight checked against integer dot products on the rays
+        monkeypatch.syspath_prepend(str(Path(SRC).parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        work = workloads.build("peres-queries", workloads.DEV_SEED)
+        (peres,) = work.corpora
+        path = tmp_path / "peres24.pset"
+        path.write_text(peres.text)
+        born = [c for c in work.calls if c.metric == "eval_born"]
+        assert len(born) == 15
+        weighed = self.count_born_values(monkeypatch)
+        for call in born:
+            argv = [str(path) if a == "{corpus}" else a for a in call.argv]
+            weighed.clear()
+            status, out, _ = run(capsys, *argv)
+            assert call.check(status, json.loads(out)) == []
+            assert len(weighed) == len(set(weighed)) == 24
 
     def test_bivalent_worked_example(self, capsys):
         status, out, _ = run(capsys, "eval", "--builtin", "cabello-c1c6",
@@ -315,6 +376,53 @@ class TestLocalize:
         status, _, err = run(capsys, "localize", "--builtin", "cabello-c1c6",
                              "--fix", "nope=1")
         assert status == 1
+
+
+class TestCallsInOneProcess:
+    def test_same_bytes_as_fresh_processes(self, capsys, monkeypatch,
+                                           tmp_path):
+        # one parser serves every call; nothing a call parses, pins or
+        # prints reaches the next one
+        broken = tmp_path / "broken.pset"
+        broken.write_text("dim 4\nvec a = 1 2 x 4\n")
+        bad = tmp_path / "bad.pset"
+        bad.write_text(BAD_PSET)
+        calls = [
+            ["validate"],
+            ["validate", "--builtin", "cabello-18"],
+            ["color", "--builtin", "cabello-c1c6", "--mode", "most"],
+            ["color", "--builtin", "cabello-c1c6", "--mode", "count",
+             "--format", "json"],
+            ["localize", "--builtin", "cabello-c1c6", "--fix", "P1_1=1"],
+            ["localize", "--builtin", "cabello-c1c6"],
+            ["localize", "--builtin", "cabello-c1c6", "--fix", "P1_1=1",
+             "--format", "json"],
+            ["localize", "--builtin", "cabello-c1c6", "--format", "json"],
+            ["eval", "--builtin", "cabello-c1c6", "--state", "-1,2,0,0"],
+            ["eval", "--builtin", "cabello-18", "--state", "-1,2,0,0",
+             "--semantics", "born", "--format", "json"],
+            ["eval", "--builtin", "cabello-c1c6", "--state", "1,x,0,0"],
+            ["eval", "--builtin", "cabello-c1c6", "--state", "e4"],
+            ["validate", str(broken)],
+            ["validate", str(bad), "--format", "json"],
+            ["color", "--builtin", "cabello-18", "--require-sat"],
+        ]
+        env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+        monkeypatch.setenv("COLUMNS", "80")     # argparse's usage width
+        cli._build_parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            status = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((captured.out.encode(), captured.err.encode(),
+                               status))
+        assert cli._build_parser.cache_info().misses == 1
+        for argv, got in zip(calls, in_process):
+            done = subprocess.run([sys.executable, "-m", "kscontext.cli", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            assert got == (done.stdout, done.stderr, done.returncode), argv
+        assert [s for _, _, s in in_process] == [1, 0, 1, 0, 0, 0, 0, 0, 0,
+                                                 0, 1, 0, 1, 2, 3]
 
 
 class TestJsonFormat:

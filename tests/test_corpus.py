@@ -1,15 +1,18 @@
 """PSET parsing, emission, round-trips, and the built-in corpora."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kscontext import (BUILTIN_NAMES, Matrix, PsetParseError, Vector,
                        admissible_assignments, builtin, builtin_file, emit,
                        find_maximal_contexts, parse, to_projector_set,
                        validate_context)
+
+from kscontext.corpus import _parse_rational
 
 from _gen import random_pset_text
 
@@ -261,3 +264,47 @@ class TestParseFuzz:
         except PsetParseError:
             return
         assert parse(emit(cf)) == cf
+
+
+def _fraction_or_error(tok: str):
+    """What `Fraction(tok)` makes of a token, as `_parse_rational` reports
+    it: the value, or the parse error of a token past int's digit limit."""
+    try:
+        return Fraction(tok)
+    except ValueError:
+        return "line 3, column 5: rational has too many digits"
+
+
+@st.composite
+def _integer_tokens(draw):
+    """`-?[0-9]+` with leading zeros, short and around int's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sign = draw(st.sampled_from(("", "-")))
+    zeros = "0" * draw(st.integers(0, 3))
+    pattern = draw(st.text("0123456789", min_size=1, max_size=12))
+    size = draw(st.one_of(st.integers(1, 40),
+                          st.integers(limit - 4, limit + 4)))
+    return sign + zeros + (pattern * (size // len(pattern) + 1))[:size]
+
+
+class TestIntegerTokens:
+    """Integer tokens skip Fraction's string parser; `Fraction(tok)` is
+    the oracle."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_integer_tokens())
+    @example("0")
+    @example("-0")
+    @example("007")
+    @example("-0010")
+    @example("9" * sys.get_int_max_str_digits())
+    @example("-" + "9" * sys.get_int_max_str_digits())
+    @example("1" * (sys.get_int_max_str_digits() + 1))
+    @example("-" + "0" * (sys.get_int_max_str_digits() + 1))
+    def test_same_as_fraction_of_the_token(self, tok):
+        try:
+            got = _parse_rational(tok, 3, 5)
+        except PsetParseError as e:
+            got = str(e)
+        want = _fraction_or_error(tok)
+        assert got == want and type(got) is type(want)
