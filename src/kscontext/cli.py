@@ -203,20 +203,17 @@ def _cmd_eval(args, cf, ps):
                "semantics": args.semantics, "contexts": []}
     lines = [f"state: ({', '.join(str(e) for e in vector.entries)})"]
     bivalent = args.semantics == "bivalent"
-    contexts = ps.contexts or find_maximal_contexts(ps)
-    if bivalent:    # each projector judged once for the state
-        truth = {l: evaluate_bivalent(state, p) for l, p in ps.projectors.items()}
-    else:           # each member weighed once for the state
-        weight = {m: born_value(state, ps[m]) for m in dict.fromkeys(
-            itertools.chain.from_iterable(ctx.members for ctx in contexts))}
-    for ctx in contexts:
+    judge = evaluate_bivalent if bivalent else born_value
+    # each projector judged once for the state
+    value = {l: judge(state, p) for l, p in ps.projectors.items()}
+    for ctx in ps.contexts or find_maximal_contexts(ps):
         if bivalent:
-            valuation = ContextValuation(ctx, tuple(map(truth.__getitem__,
+            valuation = ContextValuation(ctx, tuple(map(value.__getitem__,
                                                         ctx.members)))
             key, shown = "values", [t.value for t in valuation.values]
             total = "undefined" if valuation.total is None else valuation.total
         else:
-            weights = list(map(weight.__getitem__, ctx.members))
+            weights = list(map(value.__getitem__, ctx.members))
             key, shown = "weights", [str(w) for w in weights]
             total = str(sum(weights, Fraction(0)))
         payload["contexts"].append({"context": ctx.label,
@@ -225,7 +222,7 @@ def _cmd_eval(args, cf, ps):
         rendered = " ".join(f"{m}={v}" for m, v in zip(ctx.members, shown))
         lines.append(f"context {ctx.label or '?'}: {rendered}  sum={total}")
     if bivalent:
-        payload["gaps"] = [l for l, t in truth.items() if t is TruthValue.GAP]
+        payload["gaps"] = [l for l, t in value.items() if t is TruthValue.GAP]
         lines.append("gaps: " + (" ".join(payload["gaps"]) or "none"))
     return payload, lines, EXIT_OK
 

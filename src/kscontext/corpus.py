@@ -88,13 +88,11 @@ def _tokens(line: str):
 
 
 def _parse_rational(tok: str, lineno: int, col: int) -> Fraction:
-    match = _RATIONAL_RE.match(tok)
-    if not match:
+    if not _RATIONAL_RE.match(tok):
         raise PsetParseError(f"bad rational {tok!r}", lineno, col)
+    num, _, den = tok.partition("/")
     try:
-        if match.lastindex is None:     # an integer: skip Fraction's parser
-            return Fraction(int(tok))
-        return Fraction(tok)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise PsetParseError(f"zero denominator in {tok!r}", lineno, col) from None
     except ValueError:  # past the digit limit of int()

@@ -268,39 +268,56 @@ class TestParseFuzz:
 
 def _fraction_or_error(tok: str):
     """What `Fraction(tok)` makes of a token, as `_parse_rational` reports
-    it: the value, or the parse error of a token past int's digit limit."""
+    it: the value, or the parse error of a zero denominator or of a part
+    past int's digit limit."""
     try:
         return Fraction(tok)
+    except ZeroDivisionError:
+        return f"line 3, column 5: zero denominator in {tok!r}"
     except ValueError:
         return "line 3, column 5: rational has too many digits"
 
 
 @st.composite
-def _integer_tokens(draw):
-    """`-?[0-9]+` with leading zeros, short and around int's digit limit."""
+def _digits(draw):
+    """ASCII digits with leading zeros, short and around int's digit limit."""
     limit = sys.get_int_max_str_digits()
-    sign = draw(st.sampled_from(("", "-")))
     zeros = "0" * draw(st.integers(0, 3))
     pattern = draw(st.text("0123456789", min_size=1, max_size=12))
     size = draw(st.one_of(st.integers(1, 40),
                           st.integers(limit - 4, limit + 4)))
-    return sign + zeros + (pattern * (size // len(pattern) + 1))[:size]
+    return zeros + (pattern * (size // len(pattern) + 1))[:size]
 
 
-class TestIntegerTokens:
-    """Integer tokens skip Fraction's string parser; `Fraction(tok)` is
-    the oracle."""
+@st.composite
+def _rational_tokens(draw):
+    """`-?[0-9]+(/[0-9]+)?`: integers and p/q, zero denominators too."""
+    sign = draw(st.sampled_from(("", "-")))
+    den = draw(st.one_of(st.just(""), st.sampled_from(("/0", "/000", "/1")),
+                         _digits().map("/".__add__)))
+    return sign + draw(_digits()) + den
+
+
+class TestRationalTokens:
+    """Every token is read as `Fraction(int(p), int(q))`; `Fraction(tok)`
+    is the oracle."""
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(_integer_tokens())
+    @given(_rational_tokens())
     @example("0")
     @example("-0")
     @example("007")
     @example("-0010")
+    @example("-0/5")
+    @example("-3/6")
+    @example("12/0")
+    @example("-0/00")
     @example("9" * sys.get_int_max_str_digits())
     @example("-" + "9" * sys.get_int_max_str_digits())
     @example("1" * (sys.get_int_max_str_digits() + 1))
     @example("-" + "0" * (sys.get_int_max_str_digits() + 1))
+    @example("1/" + "7" * (sys.get_int_max_str_digits() + 1))
+    @example("1" * (sys.get_int_max_str_digits() + 1) + "/0")
     def test_same_as_fraction_of_the_token(self, tok):
         try:
             got = _parse_rational(tok, 3, 5)
