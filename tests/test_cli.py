@@ -219,7 +219,7 @@ class TestEval:
                             or original(state, p))
         return weighed
 
-    def test_born_weighs_each_member_once(self, capsys, monkeypatch):
+    def test_born_weighs_each_projector_once(self, capsys, monkeypatch):
         weighed = self.count_born_values(monkeypatch)
         status, out, _ = run(capsys, "eval", "--builtin", "cabello-18",
                              "--state", "e4", "--semantics", "born")
