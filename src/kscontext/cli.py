@@ -26,6 +26,7 @@ from . import corpus
 from .contexts import UnknownLabelError, find_maximal_contexts, validate_context
 from .search import (InconsistentAssignmentError, admissible_assignments,
                      localized_indefiniteness_certificate)
+# localize_indefiniteness is bound here only for bench/spans.py to trace
 from .valuation import (ContextValuation, StateVector, TruthValue,
                         ZeroStateError, born_value, evaluate_bivalent,
                         localize_indefiniteness)  # noqa: F401
@@ -36,7 +37,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_UNSAT = 3
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 
 class _CliError(Exception):
@@ -53,11 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args) -> tuple[corpus.CorpusFile, object, str]:
-    if args.builtin:
-        try:
-            cf = corpus.builtin_file(args.builtin)
-        except KeyError as e:
-            raise _CliError(str(e.args[0]))
+    if args.builtin:     # argparse's choices reject an unknown name
+        cf = corpus.builtin_file(args.builtin)
         ps = corpus.builtin(args.builtin)   # cached, self-checked on first use
         source = f"builtin:{args.builtin}"
     else:
@@ -171,7 +169,6 @@ def _cmd_color(args, cf, ps):
     result = admissible_assignments(ps, mode=args.mode)
     payload = {
         "mode": args.mode,
-        "workers": args.workers,
         "status": result.status,
         "nodes_explored": result.nodes_explored,
     }
@@ -187,11 +184,11 @@ def _cmd_color(args, cf, ps):
     if args.mode == "all" and result.witnesses is not None:
         # plain dicts from the search, no copies; the renderer sorts labels
         payload["witnesses"] = [w.values for w in result.witnesses]
-    if result.status == "UNSAT" and result.violated_context:
+    if result.violated_context:      # only an UNSAT result has one
         payload["last_violated_context"] = result.violated_context
-        payload["last_violated_members"] = list(result.violated_members or ())
+        payload["last_violated_members"] = list(result.violated_members)
         lines.append(f"last violated context: {result.violated_context} "
-                     f"({' '.join(result.violated_members or ())})")
+                     f"({' '.join(result.violated_members)})")
     status = EXIT_UNSAT if (args.require_sat and result.status == "UNSAT") else EXIT_OK
     return payload, lines, status
 
@@ -336,12 +333,6 @@ def _render_flat_items(items, depth: int, kinds) -> str:
 
 # ---------------------------------------------------------------------------
 
-def _worker_count(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 def _glue_negative_states(argv: list[str]) -> list[str]:
     """`--state -1,2,0,0` as `--state=-1,2,0,0`.  argparse takes a value
     that starts with '-' for an option unless it is one plain number, and
@@ -374,7 +365,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("color", help="search noncontextual {0,1} assignments")
     add_common(p)
     p.add_argument("--mode", choices=("first", "all", "count"), default="first")
-    p.add_argument("--workers", type=_worker_count, default=1, metavar="N")
     p.add_argument("--require-sat", action="store_true",
                    help="exit 3 when no assignment exists")
 

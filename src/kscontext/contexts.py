@@ -105,9 +105,6 @@ class ProjectorSet:
     def __reduce__(self):
         return ProjectorSet, (self.dimension, dict(self.projectors), self.contexts)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.projectors)
-
     def __getitem__(self, label: str) -> Projector:
         try:
             return self.projectors[label]
@@ -230,12 +227,6 @@ class OrthogonalityGraph(Mapping):
         width = len(self.labels)
         return tuple(int("".join(pick(_digits(self.bits[p], width))), 2)
                      for p in positions)
-
-    def components(self) -> list[tuple[str, ...]]:
-        """The connected components, each in set order, in order of their
-        first label."""
-        return [tuple(_members(self.labels, part))
-                for part in _parts(self.bits, (1 << len(self.labels)) - 1)]
 
 
 def _parts(rows: Sequence[int], mask: int) -> list[int]:

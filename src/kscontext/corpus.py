@@ -345,8 +345,10 @@ _BUILTIN_TEXT = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_file(name: str) -> CorpusFile:
-    """CorpusFile of a named built-in corpus (includes its states)."""
+    """CorpusFile of a named built-in corpus (includes its states); parsed
+    once, and shared, as a CorpusFile is frozen."""
     try:
         text = _BUILTIN_TEXT[name]
     except KeyError:

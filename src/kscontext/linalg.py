@@ -150,9 +150,6 @@ class Matrix:
     def is_idempotent(self) -> bool:
         return self.is_square() and self @ self == self
 
-    def row(self, i: int) -> Vector:
-        return Vector(self._rows[i])
-
     def column(self, j: int) -> Vector:
         return Vector(r[j] for r in self._rows)
 

@@ -21,8 +21,8 @@ no rule of the component can see.  A SAT result always has a witness,
 the empty one for an empty set.  `nodes_explored` is one root for the
 whole search plus, for every component searched, its nodes less its own
 root.  Components are searched in order of their lowest decision index,
-up to the first UNSAT one; `violated_context` is the last conflict of
-the last component that had one.
+up to the first UNSAT one.  Only an UNSAT result names a conflict: its
+`violated_context` is the last conflict of that UNSAT component.
 
 A network holds its constraints as int bitsets in which bit k stands for
 the variable at decision index k: each variable's orthogonal neighbours,
@@ -75,9 +75,6 @@ class Assignment:
         if bad:
             raise ValueError(f"assignment values must be 0 or 1, got {bad}")
 
-    def is_total_for(self, ps: ProjectorSet) -> bool:
-        return set(self.values) >= set(ps.projectors)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Assignment) and dict(self.values) == dict(other.values)
 
@@ -117,12 +114,17 @@ class PinVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's answer.  `violated_context` and `violated_members` are
+    diagnostics of an UNSAT result only: the display name and members of
+    the last conflict its search met, or None when no single context was
+    to blame.  A SAT result carries neither."""
+
     status: Literal["SAT", "UNSAT"]
     witness: Assignment | None
     nodes_explored: int
     count: int | None = None
     witnesses: tuple[Assignment, ...] | None = None
-    violated_context: str | None = None          # display name, diagnostics only
+    violated_context: str | None = None
     violated_members: tuple[str, ...] | None = None
 
 
@@ -382,7 +384,6 @@ def _count_models(net: _Network, assigned: int, acc: _Acc) -> int:
                 parts = _parts(net.adj, full & ~assigned)[::-1]   # lowest last
                 frame[1:] = val, total, parts, 1
                 break
-            acc.last_conflict = conflict
         else:
             stack.pop()
             cache[comp] = total
@@ -399,14 +400,13 @@ def _merge(net: _Network, accs: list[_Acc], mode: Mode) -> SearchResult:
     descending lexicographic order of their values in decision order:
     that is the order of a single search, which tries 1 before 0 on the
     lowest undecided variable.  The nodes count one root for the whole
-    search; the last conflict is that of the last component that had one.
+    search.  Only an UNSAT result names a conflict: the searches stop at
+    the first UNSAT component, the last of `accs`, and its last conflict,
+    which it always has, is the one named.
     """
     count = math.prod(acc.count for acc in accs)
     nodes = 1 + sum(acc.nodes - 1 for acc in accs)
-    conflict = None
-    for acc in accs:
-        if acc.last_conflict is not None:
-            conflict = acc.last_conflict
+    conflict = None if count else accs[-1].last_conflict
     violated = (None, None) if conflict is None or conflict < 0 else (
         net.maximal[conflict].display_name(),
         tuple(_members(net.labels, net.contexts[conflict])))

@@ -81,13 +81,32 @@ class TestValidate:
         assert "vec P8_2 = -1 1 1 1\n" in text
         monkeypatch.setitem(corpus._BUILTIN_TEXT, "cabello-18", text.replace(
             "vec P8_2 = -1 1 1 1\n", "vec P8_2 = 1 1 1 1\n"))
+        corpus.builtin_file.cache_clear()
         corpus.builtin.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="'cabello-18' failed "
                                                    "self-check: context C8"):
                 main(["validate", "--builtin", "cabello-18"])
         finally:
+            corpus.builtin_file.cache_clear()
             corpus.builtin.cache_clear()
+
+    def test_builtin_is_parsed_once(self, capsys, monkeypatch):
+        corpus.builtin_file.cache_clear()
+        corpus.builtin.cache_clear()
+        parsed = []
+        original = corpus.parse
+        monkeypatch.setattr(corpus, "parse",
+                            lambda text: parsed.append(text) or original(text))
+        for _ in range(2):
+            assert run(capsys, "validate", "--builtin", "cabello-18")[0] == 0
+        assert parsed == [corpus._BUILTIN_TEXT["cabello-18"]]
+
+    def test_unknown_builtin_exits_1(self, capsys):
+        status, out, err = run(capsys, "validate", "--builtin", "nope")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("usage:") and "invalid choice: 'nope'" in err
 
     def test_invalid_context_exits_2_and_names_pair(self, capsys, tmp_path):
         bad = tmp_path / "bad.pset"
@@ -157,13 +176,13 @@ class TestColor:
         assert status == 0
         assert "admissible assignments: 4" in out
 
-    def test_nonpositive_workers_exit_1(self, capsys):
-        for bad in ("0", "-2", "two"):
-            status, out, err = run(capsys, "color", "--builtin",
-                                   "cabello-c1c6", "--workers", bad)
-            assert status == 1
-            assert out == ""
-            assert "usage:" in err and "--workers" in err
+    def test_workers_is_not_an_option(self, capsys):
+        status, out, err = run(capsys, "color", "--builtin", "cabello-18",
+                               "--workers", "4", "--require-sat")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --workers" in err
 
     def test_one_orthogonality_test_per_pair(self, capsys, tmp_path,
                                              monkeypatch):
@@ -176,23 +195,6 @@ class TestColor:
         status, out, _ = run(capsys, "color", str(path), "--mode", "count")
         assert status == 0 and "admissible assignments: 12" in out
         assert len(tested) == len(rays) * (len(rays) - 1) // 2
-
-    def test_huge_worker_request_echoed(self, capsys):
-        status, payload = run_json(capsys, "color", "--builtin", "cabello-c1c6",
-                                   "--mode", "count", "--workers", "1000000000")
-        assert status == 0
-        assert payload["result"]["workers"] == 1000000000
-        _, serial = run_json(capsys, "color", "--builtin", "cabello-c1c6",
-                             "--mode", "count")
-        assert payload["result"]["count"] == serial["result"]["count"]
-
-    def test_workers_agree(self, capsys):
-        _, payload1 = run_json(capsys, "color", "--builtin", "cabello-c1c6",
-                               "--mode", "count")
-        _, payload3 = run_json(capsys, "color", "--builtin", "cabello-c1c6",
-                               "--mode", "count", "--workers", "3")
-        assert payload1["result"]["count"] == payload3["result"]["count"]
-        assert payload1["result"]["status"] == payload3["result"]["status"]
 
 
 class TestEval:
@@ -430,7 +432,7 @@ class TestJsonFormat:
         status, payload = run_json(capsys, "validate",
                                    "--builtin", "cabello-c1c6")
         assert status == 0
-        assert payload["report_version"] == "1"
+        assert payload["report_version"] == "2"
         assert len(payload["corpus"]["hash"]) == 64
         assert payload["corpus"]["projectors"] == 8
         assert payload["exit_status"] == 0
@@ -456,6 +458,20 @@ class TestJsonFormat:
         assert payload["result"]["status"] == "UNSAT"
         assert payload["result"]["count"] == 0
         assert payload["result"]["nodes_explored"] > 0
+
+    @pytest.mark.parametrize("mode", ["first", "all", "count"])
+    def test_only_unsat_names_a_violated_context(self, capsys, mode):
+        violated = {"last_violated_context", "last_violated_members"}
+        for name, status in (("cabello-18", "UNSAT"), ("cabello-c1c6", "SAT")):
+            _, payload = run_json(capsys, "color", "--builtin", name,
+                                  "--mode", mode)
+            result = payload["result"]
+            assert result["status"] == status
+            assert "workers" not in result
+            assert violated & set(result) == (violated if status == "UNSAT"
+                                              else set())
+            _, out, _ = run(capsys, "color", "--builtin", name, "--mode", mode)
+            assert ("last violated context:" in out) == (status == "UNSAT")
 
 
 def stdlib_render(obj):

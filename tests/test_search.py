@@ -165,7 +165,7 @@ class TestAdmissibleAssignments:
 
     def test_every_witness_total(self, c1c6):
         for w in admissible_assignments(c1c6, mode="all").witnesses:
-            assert w.is_total_for(c1c6)
+            assert set(w.values) == set(c1c6.projectors)
 
     def test_unknown_fixed_label(self, c1c6):
         with pytest.raises(UnknownLabelError):
@@ -464,19 +464,19 @@ def component_oracle(parts, fixed, mode):
     """(nodes_explored, (violated_context, violated_members)) of a search
     that runs the recursive oracle on each of `component_sets` and stops
     after the first UNSAT one.  The nodes are one root plus each
-    component's nodes less its own root; the conflict is the last one of
-    the last component that had one."""
+    component's nodes less its own root; the conflict, on UNSAT only, is
+    the last one of that UNSAT component."""
     nodes, violated = 1, (None, None)
     for sub, net in parts:
         count, _, _, part_nodes, conflict = oracle_task(
             sub, net, seed_of(net, fixed), mode)
         nodes += part_nodes - 1
-        if conflict is not None:
-            violated = (None, None) if conflict < 0 else (
-                net.maximal[conflict].display_name(),
-                tuple(sorted(net.maximal[conflict].members,
-                             key=net.index.__getitem__)))
         if not count:
+            assert conflict is not None     # an UNSAT search always has one
+            if conflict >= 0:
+                violated = (net.maximal[conflict].display_name(),
+                            tuple(sorted(net.maximal[conflict].members,
+                                         key=net.index.__getitem__)))
             break
     return nodes, violated
 
@@ -506,11 +506,22 @@ class TestKernelAgainstRecursiveOracle:
             public = admissible_assignments(ps, mode=mode, fixed=fixed)
             assert_component_result(public, want, component_sets(ps), fixed,
                                     mode)
-            if public.status == "SAT":
-                assert (public.violated_context, public.violated_members) == \
-                    (want.violated_context, want.violated_members)
+            assert (public.violated_context, public.violated_members) == \
+                (want.violated_context, want.violated_members)
             checked += 1
         assert checked == 133
+
+    def test_sat_after_a_context_conflict_names_none(self):
+        # the oracle cases' SAT searches meet pair conflicts at most; D6's
+        # `all` walk ends on a context conflict and is still SAT
+        ps = d_roots(6)
+        net = whole_network(ps)
+        assert search._search_task(net, seed_of(net, {}), "all",
+                                   (0, 0)).last_conflict >= 0
+        for mode in ("first", "all", "count"):
+            got = admissible_assignments(ps, mode=mode)
+            assert got.status == "SAT"
+            assert (got.violated_context, got.violated_members) == (None, None)
 
     def test_pair_contexts_are_the_first_shared_context(self):
         outside = set()     # whether an edge lies outside every context
@@ -811,10 +822,9 @@ class TestComponents:
                     monolithic(ps, fixed, mode), component_sets(ps), fixed,
                     mode)
 
-    def test_last_conflict_on_sat_is_the_last_components(self):
-        # the first copy's all-zero branch ends in a conflict, so one
-        # search over the whole set meets its conflict last; searched
-        # apart, the second copy's conflict comes last
+    def test_sat_names_no_conflict_of_either_component(self):
+        # both copies meet conflicts, in an order that depends on how the
+        # search splits the set; the SAT result names neither
         assert all(sum(a * b for a, b in zip(u, v)) == (1025 ** 2 if u is v else 0)
                    for u in ROTATION for v in ROTATION)
         c18 = builtin("cabello-18")
@@ -827,15 +837,17 @@ class TestComponents:
                for l, r in rays.items() if l != "P4_4"}})
         parts = component_sets(ps)
         assert len(parts) == 2
-        got = admissible_assignments(ps, mode="all")
-        want = monolithic(ps, {}, "all")
-        assert_same_answer(got, want)
-        assert got.status == "SAT"
-        assert set(want.violated_members) == {"P6_1", "P6_2", "P6_3", "P6_4"}
-        assert (got.violated_context, got.violated_members) == \
-            component_oracle(parts, {}, "all")[1]
-        assert set(got.violated_members) == \
-            {"QP6_1", "QP6_2", "QP6_3", "QP6_4"}
+        net = whole_network(ps)
+        for comp in _parts(net.adj, full_mask(net)):
+            acc = search._search_task(net, search._seed(net, comp, {}), "all",
+                                      (full_mask(net) & ~comp, 0))
+            assert acc.count and acc.last_conflict is not None
+        for mode in ("first", "all", "count"):
+            got = admissible_assignments(ps, mode=mode)
+            assert_component_result(got, monolithic(ps, {}, mode), parts, {},
+                                    mode)
+            assert got.status == "SAT"
+            assert (got.violated_context, got.violated_members) == (None, None)
 
     def test_localize_with_a_sat_component_before_an_unsat_one(self):
         # the rotated copy minus one ray is SAT and its labels sort before
