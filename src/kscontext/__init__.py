@@ -1,9 +1,12 @@
 """Exact-arithmetic analysis of quantum projector contexts.
 
-Everything is computed over the rationals with `fractions.Fraction`
-entries: subspace lattice operations, context validity and discovery,
-exhaustive noncontextual-assignment search, and state-relative truth
-valuations (bivalent with gaps, and the exact weight semantics).
+Everything is computed exactly over the rationals: subspace lattice
+operations, context validity and discovery, exhaustive
+noncontextual-assignment search, and state-relative truth valuations
+(bivalent with gaps, and the exact weight semantics).  `fractions.Fraction`
+entries appear only at the API edge (`Vector`, `Matrix`, `Subspace.basis`
+and `rref`); subspaces are primitive integer RREF rows, and the lattice,
+orthogonality and valuations run on integers.
 """
 
 from .linalg import (Matrix, Projector, Subspace, Vector, column_space,

@@ -90,15 +90,18 @@ def _parse_state(arg: str, cf, ps) -> Vector:
     except KeyError:
         pass
     parts = [p.strip() for p in arg.split(",")]
-    if len(parts) < 2:
-        raise _CliError(f"--state {arg!r} is neither a declared state label "
-                        f"nor an inline vector like 0,0,0,1")
     try:
         # the PSET grammar: -?[0-9]+(/[0-9]+)?, ASCII only, bounded digits
         entries = [corpus._parse_rational(p, 1, i + 1)
                    for i, p in enumerate(parts)]
     except corpus.PsetParseError:
-        raise _CliError(f"bad rational in --state {arg!r}") from None
+        entries = None
+    # one bare entry is an inline vector only in Q^1
+    if len(parts) < 2 and (entries is None or ps.dimension != 1):
+        raise _CliError(f"--state {arg!r} is neither a declared state label "
+                        f"nor an inline vector like 0,0,0,1")
+    if entries is None:
+        raise _CliError(f"bad rational in --state {arg!r}")
     if len(entries) != ps.dimension:
         raise _CliError(f"--state has {len(entries)} entries, corpus "
                         f"dimension is {ps.dimension}")

@@ -124,9 +124,9 @@ def parse(text: str) -> CorpusFile:
     spans: list[tuple[str, tuple[str, ...], int]] = []
     contexts: list[tuple[str, tuple[str, ...], int]] = []
     states: list[tuple[str, Vector]] = []
-    seen_projector_labels: dict[str, int] = {}
-    seen_context_labels: dict[str, int] = {}
-    seen_state_labels: dict[str, int] = {}
+    seen_projector_labels: set[str] = set()
+    seen_context_labels: set[str] = set()
+    seen_state_labels: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
@@ -155,7 +155,7 @@ def parse(text: str) -> CorpusFile:
         if word in ("vec", "span"):
             if label in seen_projector_labels:
                 raise PsetParseError(f"duplicate label {label!r}", lineno, lcol)
-            seen_projector_labels[label] = lineno
+            seen_projector_labels.add(label)
         if word == "vec":
             v = _parse_vector_entries(body, dimension, lineno)
             if v.is_zero():
@@ -170,7 +170,7 @@ def parse(text: str) -> CorpusFile:
         elif word == "context":
             if label in seen_context_labels:
                 raise PsetParseError(f"duplicate context {label!r}", lineno, lcol)
-            seen_context_labels[label] = lineno
+            seen_context_labels.add(label)
             if len(body) < 2:
                 raise PsetParseError("a context needs at least two members",
                                      lineno, lcol)
@@ -179,7 +179,7 @@ def parse(text: str) -> CorpusFile:
         else:  # state
             if label in seen_state_labels:
                 raise PsetParseError(f"duplicate state {label!r}", lineno, lcol)
-            seen_state_labels[label] = lineno
+            seen_state_labels.add(label)
             v = _parse_vector_entries(body, dimension, lineno)
             if v.is_zero():
                 raise PsetParseError("zero state", lineno, lcol)

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Vectors, matrices, subspaces and projectors all carry `fractions.Fraction`
-entries, so every predicate in this module (equality of subspaces,
-membership of a vector, idempotence of a projector, orthogonality) is
-decided exactly, with zero tolerance.  A projector's range basis is also
-kept as primitive integer rows, so orthogonality of two projectors, and
-the weight and truth value of a projector at a state, come down to
+Every predicate in this module (equality of subspaces, membership of a
+vector, idempotence of a projector, orthogonality) is decided exactly,
+with zero tolerance.  Vectors and matrices, the API edge, carry
+`fractions.Fraction` entries.  Below that edge the arithmetic is on
+integers: a subspace of Q^d is stored as the reduced row-echelon basis of
+its spanning set, each row scaled to coprime integers with a positive
+pivot, and one fraction-free Gauss-Jordan elimination (`_echelon`)
+computes it for every lattice operation.  Fractions reappear only in
+`Subspace.basis` and `rref`, which divide by the pivots.  A projector's
+range basis is those integer rows, so orthogonality of two projectors,
+and the weight and truth value of a projector at a state, come down to
 integer dot products.
 
-A subspace of Q^d is stored as the reduced row-echelon basis of its
-spanning set.  That form is unique, so two `Subspace` values compare equal
-iff they describe the same set of vectors, and hashing is structural.
+The row form is unique, so two `Subspace` values compare equal iff they
+describe the same set of vectors, and hashing is structural.
 
 The lattice operations follow the usual subspace lattice:
 
@@ -217,55 +221,73 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Reduced row echelon form of a row list.
+def primitive_integers(entries: Iterable[Rational]) -> tuple[int, ...]:
+    """A rational vector scaled by a positive factor to coprime integers:
+    the same direction, with no denominators left.  A zero vector is
+    returned as it is, with integer entries."""
+    entries = tuple(entries)
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
-    Returns (nonzero reduced rows, pivot column per row).  Pivot columns
-    are strictly increasing, pivots are 1, and pivot columns are cleared
-    above and below, which makes the output unique for a given row space.
+
+def _echelon(rows: Iterable[Iterable[Rational]], ncols: int):
+    """Fraction-free Gauss-Jordan elimination of a row list.
+
+    Each row is first scaled to primitive integers.  Clearing column c
+    takes row <- lead[c]*row - row[c]*lead, as in Bareiss (Math. Comp. 22
+    (1968) 565), but then divides the row by its gcd instead of by the
+    previous pivot, so every row stays primitive.  Returns (nonzero
+    reduced rows, pivot column per row): the reduced row-echelon rows,
+    each scaled to coprime integers with a positive pivot.  Pivot columns
+    are strictly increasing and cleared in every other row, so the output
+    is as unique for a given row space as the RREF.
     """
-    work = [list(r) for r in rows]
+    work = [primitive_integers(r) for r in rows]
     pivots: list[int] = []
-    pivot_row = 0
     for col in range(ncols):
-        hit = next((i for i in range(pivot_row, len(work)) if work[i][col] != 0), None)
+        top = len(pivots)
+        hit = next((i for i in range(top, len(work)) if work[i][col]), None)
         if hit is None:
             continue
-        work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        lead = work[pivot_row][col]
-        if lead != 1:
-            work[pivot_row] = [e / lead for e in work[pivot_row]]
-        for i in range(len(work)):
-            if i != pivot_row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pivot_row])]
+        lead = work[hit]
+        if lead[col] < 0:
+            lead = tuple(-x for x in lead)
+        work[hit], work[top] = work[top], lead
+        p = lead[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != top:
+                work[i] = primitive_integers(
+                    [p * a - f * b for a, b in zip(row, lead)])
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(work):
+        if len(pivots) == len(work):
             break
-    reduced = [tuple(r) for r in work[: len(pivots)]]
-    return reduced, pivots
+    return work[: len(pivots)], pivots
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form of `m`, same shape, exact over Q."""
-    reduced, _ = _rref_rows(m.rows, m.ncols)
-    padded = list(reduced) + [tuple([Fraction(0)] * m.ncols)] * (m.nrows - len(reduced))
-    return Matrix(padded)
+    reduced, pivots = _echelon(m.rows, m.ncols)
+    rows = [[Fraction(x, r[p]) for x in r] for r, p in zip(reduced, pivots)]
+    return Matrix(rows + [[0] * m.ncols] * (m.nrows - len(rows)))
 
 
 class Subspace:
-    """Closed subspace of Q^d held as its canonical reduced-row-echelon basis.
+    """Closed subspace of Q^d held as its canonical reduced-row-echelon rows,
+    each scaled to coprime integers with a positive pivot.
 
     Construct through `from_span`, `zero`, or `full`; any spanning set is
     canonicalized on entry, so structural equality coincides with equality
-    of the spanned sets.
+    of the spanned sets.  `basis` gives the same rows as Fraction vectors
+    with pivot 1.
     """
 
-    __slots__ = ("_basis", "_ambient", "_pivots")
+    __slots__ = ("_rows", "_ambient", "_pivots")
 
-    def __init__(self, basis_rows, dim_ambient: int, pivots):
-        self._basis = tuple(Vector(r) for r in basis_rows)
+    def __init__(self, rows, dim_ambient: int, pivots):
+        self._rows = tuple(rows)
         self._ambient = dim_ambient
         self._pivots = tuple(pivots)
 
@@ -282,21 +304,20 @@ class Subspace:
             raise ValueError(f"dimension mismatch: {dim_ambient} vs {d}")
         if any(v.dim != d for v in vecs):
             raise ValueError("spanning vectors have mixed dimensions")
-        reduced, pivots = _rref_rows([v.entries for v in vecs], d)
-        return cls(reduced, d, pivots)
+        return _span(vecs, d)
 
     @classmethod
     def zero(cls, dim_ambient: int) -> "Subspace":
-        return cls([], dim_ambient, [])
+        return cls((), dim_ambient, ())
 
     @classmethod
     def full(cls, dim_ambient: int) -> "Subspace":
-        return cls(Matrix.identity(dim_ambient).rows, dim_ambient,
-                   range(dim_ambient))
+        return orthocomplement(cls.zero(dim_ambient))
 
     @property
     def basis(self) -> tuple[Vector, ...]:
-        return self._basis
+        return tuple(Vector(Fraction(x, r[p]) for x in r)
+                     for r, p in zip(self._rows, self._pivots))
 
     @property
     def dim_ambient(self) -> int:
@@ -304,13 +325,13 @@ class Subspace:
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return not self._basis
+        return not self._rows
 
     def is_full(self) -> bool:
-        return len(self._basis) == self._ambient
+        return len(self._rows) == self._ambient
 
     def __contains__(self, v: Vector) -> bool:
         return member(v, self)
@@ -319,34 +340,23 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self._ambient == other._ambient
-            and self._basis == other._basis
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self._ambient, self._basis))
+        return hash((self._ambient, self._rows))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"Subspace.zero({self._ambient})"
-        rows = ", ".join(repr(list(map(str, v.entries))) for v in self._basis)
+        rows = ", ".join(repr(list(map(str, v.entries))) for v in self.basis)
         return f"Subspace<rank {self.rank} of Q^{self._ambient}: {rows}>"
 
 
-def primitive_integers(entries: Iterable[Rational]) -> tuple[int, ...]:
-    """A nonzero rational vector scaled by a positive factor to coprime
-    integers: the same direction, with no denominators left."""
-    entries = tuple(entries)
-    scale = math.lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (scale // e.denominator) for e in entries]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _primitive_basis(s: Subspace) -> tuple[tuple[int, ...], ...]:
-    """The canonical basis of `s`, each row scaled to coprime integers.
-    Every row leads with a pivot 1, so each scaled row leads with a
-    positive entry and the result is as unique as the basis."""
-    return tuple(primitive_integers(v) for v in s.basis)
+def _span(rows: Iterable[Iterable[Rational]], d: int) -> Subspace:
+    """The subspace of Q^d spanned by rational rows of length d."""
+    reduced, pivots = _echelon(rows, d)
+    return Subspace(reduced, d, pivots)
 
 
 def _orthogonalized(rows: tuple[tuple[int, ...], ...]
@@ -375,11 +385,12 @@ class Projector:
     Over Q idempotence plus symmetry already pin the eigenvalues to
     exactly 0 and 1, so construction only has those two checks.
 
-    Each projector also owns one canonical basis of its range as primitive
+    Each projector also owns the canonical rows of its range, primitive
     integer rows (`range_basis`), derived once and shared by relabeled
-    copies; orthogonality and rank are read from it.  An orthogonal integer
-    basis of the range (`orthogonal_basis`) is derived from it on first
-    use; the state valuations are read from that one.
+    copies; orthogonality, rank, `range` and `kernel` are read from them.
+    An orthogonal integer basis of the range (`orthogonal_basis`) is
+    derived from them on first use; the state valuations are read from
+    that one.
     """
 
     __slots__ = ("_matrix", "_label", "_dim", "_basis", "_ortho")
@@ -419,10 +430,10 @@ class Projector:
 
     @property
     def range_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The reduced row-echelon basis of the range, each row scaled to
-        primitive integers; computed on first use."""
+        """The canonical rows of the range: its reduced row-echelon basis,
+        each row scaled to primitive integers; computed on first use."""
         if self._basis is None:
-            self._basis = _primitive_basis(column_space(self._matrix))
+            self._basis = column_space(self._matrix)._rows
         return self._basis
 
     @property
@@ -441,11 +452,14 @@ class Projector:
 
     @property
     def range(self) -> Subspace:
-        return column_space(self._matrix)
+        # each canonical row's pivot is its first nonzero entry
+        basis = self.range_basis
+        pivots = [next(j for j, x in enumerate(r) if x) for r in basis]
+        return Subspace(basis, self._dim, pivots)
 
     @property
     def kernel(self) -> Subspace:
-        return null_space(self._matrix)
+        return orthocomplement(self.range)
 
     def relabel(self, label: str | None) -> "Projector":
         """The same operator under another label.  The copy shares the
@@ -469,54 +483,52 @@ class Projector:
 
 def column_space(m: Matrix) -> Subspace:
     """Canonical subspace spanned by the columns of `m`."""
-    return Subspace.from_span([m.column(j) for j in range(m.ncols)])
+    return _span(zip(*m.rows), m.nrows)
 
 
 def null_space(m: Matrix) -> Subspace:
-    """Canonical subspace of all v with m @ v = 0."""
-    reduced, pivots = _rref_rows(m.rows, m.ncols)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return Subspace.from_span(basis, dim_ambient=m.ncols)
+    """Canonical subspace of all v with m @ v = 0: the orthocomplement of
+    the row space of `m`."""
+    return orthocomplement(_span(m.rows, m.ncols))
 
 
 def member(v: Vector, s: Subspace) -> bool:
-    """Exact membership of `v` in `s`."""
+    """Exact membership of `v` in `s`: adding it leaves the rank as it is."""
     if v.dim != s.dim_ambient:
         raise ValueError(f"dimension mismatch: {v.dim} vs {s.dim_ambient}")
-    residual = list(v.entries)
-    for row, p in zip(s.basis, s._pivots):
-        c = residual[p]
-        if c != 0:
-            residual = [a - c * b for a, b in zip(residual, row.entries)]
-    return all(e == 0 for e in residual)
+    return len(_echelon([*s._rows, v], s.dim_ambient)[0]) == s.rank
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subset of a."""
-    if a.dim_ambient != b.dim_ambient:
-        raise ValueError("dimension mismatch")
-    return all(member(v, a) for v in b.basis)
+    return join(a, b).rank == a.rank
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Smallest subspace containing both: the span of the union of bases."""
+    """Smallest subspace containing both: the span of the union of rows."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("dimension mismatch")
-    return Subspace.from_span(list(a.basis) + list(b.basis), a.dim_ambient)
+    return _span(a._rows + b._rows, a.dim_ambient)
 
 
 def orthocomplement(a: Subspace) -> Subspace:
-    """All vectors orthogonal to every vector of `a` (w.r.t. the dot product)."""
-    if a.is_zero():
-        return Subspace.full(a.dim_ambient)
-    return null_space(Matrix(v.entries for v in a.basis))
+    """All vectors orthogonal to every vector of `a` (w.r.t. the dot product).
+
+    Read off the canonical rows: each non-pivot column f gives the vector
+    with f-th entry 1 whose pivot entries cancel every row's entry at f,
+    scaled by the pivots' least common multiple to stay integral.
+    """
+    d, rows, pivots = a.dim_ambient, a._rows, a._pivots
+    scale = math.lcm(*(r[p] for r, p in zip(rows, pivots)))
+    basis = []
+    for f in range(d):
+        if f not in pivots:
+            v = [0] * d
+            v[f] = scale
+            for r, p in zip(rows, pivots):
+                v[p] = -r[f] * (scale // r[p])
+            basis.append(v)
+    return _span(basis, d)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -524,18 +536,14 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
     Solved as one stacked linear system: x lies in a subspace iff the
     basis of the subspace's orthocomplement annihilates it, so the
-    intersection is the kernel of the two stacked annihilator bases.
+    intersection is the kernel of the two stacked annihilator bases,
+    the orthocomplement of their join.
     (The product-of-projectors shortcut is NOT used here; it is only
     valid for commuting projectors and is kept as a test oracle.)
     """
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("dimension mismatch")
-    d = a.dim_ambient
-    rows = [v.entries for v in orthocomplement(a).basis]
-    rows += [v.entries for v in orthocomplement(b).basis]
-    if not rows:
-        return Subspace.full(d)
-    return null_space(Matrix(rows))
+    return orthocomplement(join(orthocomplement(a), orthocomplement(b)))
 
 
 def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
@@ -550,7 +558,7 @@ def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
     if not vecs:
         raise ValueError("projector_from_span needs at least one vector")
     span = Subspace.from_span(vecs)
-    basis = _primitive_basis(span)
+    basis = span._rows
     ortho = basis if len(basis) < 2 else _orthogonalized(basis)
     result = Matrix.zero(span.dim_ambient)
     for w in ortho:

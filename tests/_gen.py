@@ -14,9 +14,11 @@ exist so the fast paths have something slower and dumber to agree with.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from random import Random
+from typing import Sequence
 
 from kscontext import (Context, Matrix, ProjectorSet, Subspace, TruthValue,
                        Vector, orthogonality_graph, projector_from_span)
@@ -171,9 +173,73 @@ def d_roots(n: int) -> ProjectorSet:
     return ProjectorSet(n, rays)
 
 
+def cube_ray_sample(seed: int = 2, k: int = 90) -> ProjectorSet:
+    """k of the 145 primitive rays of Q^3 with entries in -3..3 and a
+    positive first nonzero entry, in `itertools.product` order, drawn by
+    `Random(seed).sample` and labelled r000, r001, ...  The default set
+    is SAT with 202 edges and only 7 maximal contexts, yet
+    36,836,825,026,338 models: a counter walks 688,236 nodes for what
+    `localize` settles in milliseconds."""
+    rays = [v for v in product(range(-3, 4), repeat=3)
+            if any(v) and math.gcd(*v) == 1 and next(x for x in v if x) > 0]
+    return ProjectorSet(3, {f"r{i:03d}": projector_from_span([v])
+                            for i, v in enumerate(Random(seed).sample(rays, k))})
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
+
+def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Reduced row echelon form of a row list.
+
+    Returns (nonzero reduced rows, pivot column per row).  Pivot columns
+    are strictly increasing, pivots are 1, and pivot columns are cleared
+    above and below, which makes the output unique for a given row space.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        hit = next((i for i in range(pivot_row, len(work)) if work[i][col] != 0), None)
+        if hit is None:
+            continue
+        work[pivot_row], work[hit] = work[hit], work[pivot_row]
+        lead = work[pivot_row][col]
+        if lead != 1:
+            work[pivot_row] = [e / lead for e in work[pivot_row]]
+        for i in range(len(work)):
+            if i != pivot_row and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    reduced = [tuple(r) for r in work[: len(pivots)]]
+    return reduced, pivots
+
+
+def fraction_span(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """The RREF basis of span(rows), by Fraction elimination."""
+    return _rref_rows([[Fraction(x) for x in r] for r in rows], ncols)[0]
+
+
+def fraction_null_space(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """The RREF basis of all v with r . v = 0 for every row r: one vector
+    per free column of the rows' RREF, re-reduced."""
+    reduced, pivots = _rref_rows([[Fraction(x) for x in r] for r in rows],
+                                 ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return fraction_span(basis, ncols)
+
 
 def matrix_bivalent(state: Vector, p) -> TruthValue:
     """TRUE when P v = v, FALSE when P v = 0, GAP otherwise."""

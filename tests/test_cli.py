@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter, OrderedDict
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -14,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kscontext
-from kscontext import (admissible_assignments, cli, contexts, corpus, emit,
-                       find_maximal_contexts)
+from kscontext import (TruthValue, admissible_assignments, cli, contexts,
+                       corpus, emit, find_maximal_contexts)
 from kscontext.cli import main
 
 from _gen import peres24, random_split_corpus
@@ -324,6 +325,46 @@ class TestEval:
         assert outputs[0:2] == outputs[2:4]
         assert outputs[4:6] == outputs[6:8]
         assert "state: (-1/2, 3, 0, -7)" in outputs[4]
+
+    @pytest.mark.parametrize("state", ["1", "-2/3", "s"])
+    def test_one_entry_states_in_q1(self, capsys, monkeypatch, tmp_path,
+                                    state):
+        # Q^1 holds one nonzero projector, the identity: every state is in
+        # its range, so it is TRUE with Born weight 1
+        path = tmp_path / "q1.pset"
+        path.write_text("dim 1\nvec a = 1\nstate s = 3\n")
+        judged = []
+
+        def recorded(judge):
+            def wrapper(state, p):
+                judged.append(judge(state, p))
+                return judged[-1]
+            return wrapper
+
+        for name in ("evaluate_bivalent", "born_value"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        shown = "3" if state == "s" else state
+        for semantics in ("bivalent", "born"):
+            status, out, err = run(capsys, "eval", str(path), "--state", state,
+                                   "--semantics", semantics)
+            assert status == 0 and err == ""
+            assert f"state: ({shown})" in out
+        assert "gaps: none" in run(capsys, "eval", str(path), "--state",
+                                   state)[1]
+        assert judged == [TruthValue.TRUE, Fraction(1), TruthValue.TRUE]
+
+    @pytest.mark.parametrize("q1,state", [(False, "1"), (False, "x"),
+                                          (True, "x")])
+    def test_one_entry_elsewhere_keeps_its_message(self, capsys, tmp_path,
+                                                   q1, state):
+        source = ["--builtin", "cabello-c1c6"]
+        if q1:
+            source = [str(tmp_path / "q1.pset")]
+            Path(source[0]).write_text("dim 1\nvec a = 1\n")
+        status, out, err = run(capsys, "eval", *source, "--state", state)
+        assert (status, out) == (1, "")
+        assert err == (f"--state {state!r} is neither a declared state label "
+                       "nor an inline vector like 0,0,0,1\n")
 
     @pytest.mark.parametrize("entry", ["\u0661", "0.5", "+1", "1e3", "1_0",
                                        "1/0", "1 /2", "", "9" * 5000])

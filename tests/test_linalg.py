@@ -11,14 +11,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kscontext import (BUILTIN_NAMES, Matrix, Projector, Subspace, Vector,
                        builtin, column_space, complement, contains,
                        is_orthogonal, join, meet, member, null_space,
                        orthocomplement, projector_from_span, rref)
 
-from _gen import (gram_schmidt, random_orthogonal_basis, random_subspace,
-                  random_vector)
+from _gen import (fraction_null_space, fraction_span, gram_schmidt,
+                  random_orthogonal_basis, random_subspace, random_vector)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -215,6 +216,7 @@ class TestMembership:
 
     def test_scaling_irrelevant(self):
         assert member(Vector((0, 0, 0, 7)), column_space(P1_1))
+        assert member(Vector((0, 0, 0, -H)), column_space(P1_1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -295,6 +297,8 @@ class TestRangeBasis:
         assert projector_from_span([(-H, Q, 0, Q)])._basis == ((2, -1, 0, -1),)
         assert projector_from_span([(1, 1, 0, 0), (1, 2, 0, 0)])._basis == \
             ((1, 0, 0, 0), (0, 1, 0, 0))
+        assert projector_from_span([(0, 0, 0, 0), (0, -2, 0, 0)])._basis == \
+            ((0, 1, 0, 0),)
         assert Projector(P6_1).range_basis == ((1, -1, -1, 1),)
 
     def test_rank_is_the_trace(self):
@@ -417,3 +421,125 @@ class TestLatticeLaws:
             s = random_subspace(rng, d)
             v = random_vector(rng, d, nonzero=False)
             assert member(v, s) == member(v, orthocomplement(orthocomplement(s)))
+
+
+def assert_canonical_rows(s: Subspace):
+    """Each row primitive with a positive pivot that is its first nonzero
+    entry, pivots strictly increasing, each pivot column cleared in the
+    other rows; `basis` is the same rows with pivot 1."""
+    rows, pivots = s._rows, s._pivots
+    assert len(rows) == len(pivots) == s.rank
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        assert len(row) == s.dim_ambient
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        assert row[p] > 0 and not any(row[:p])
+        assert all(other[p] == 0 for j, other in enumerate(rows) if j != i)
+    assert [v.entries for v in s.basis] == \
+        [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots)]
+
+
+def view(s: Subspace) -> list[tuple[Fraction, ...]]:
+    """The Fraction basis rows, after checking the integer rows behind them."""
+    assert_canonical_rows(s)
+    return [v.entries for v in s.basis]
+
+
+def spanning_rows(rng: Random, d: int, big: bool) -> list[list[Fraction]]:
+    """Up to d + 2 rows: random entries (numerators near 10**30 when `big`),
+    some zero entries, and now and then a zero or a repeated row."""
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.choice((-1, 1)) * (10 ** 30 + rng.randint(-99, 99)),
+                            rng.randint(1, 7))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    rows = [[entry() for _ in range(d)] for _ in range(rng.randint(0, d + 2))]
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.2:
+        rows.insert(rng.randrange(len(rows) + 1), [Fraction(0)] * d)
+    return rows
+
+
+def lattice_corpus(seed: int, count: int):
+    """(d, rows of a, rows of b, a vector) for d = 1..6 in turn; every
+    fourth case has numerators near 10**30.  The vector is a combination
+    of a's rows in one case of two, so membership goes both ways."""
+    rng = Random(seed)
+    for i in range(count):
+        d, big = 1 + i % 6, i % 4 == 0
+        a, b = spanning_rows(rng, d, big), spanning_rows(rng, d, big)
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        if a and i % 2:
+            v = [sum(rng.randint(-2, 2) * r[j] for r in a) for j in range(d)]
+        yield d, a, b, v
+
+
+class TestLatticeAgainstFractionOracle:
+    """Every lattice operation equals Gauss-Jordan over Fractions
+    (`_gen.fraction_span` and `fraction_null_space`), and every result
+    keeps the integer row invariants."""
+
+    def test_from_span_join_meet_orthocomplement(self):
+        ranks = set()
+        for d, ra, rb, _ in lattice_corpus(1936, 400):
+            a = Subspace.from_span(ra, dim_ambient=d)
+            b = Subspace.from_span(rb, dim_ambient=d)
+            assert view(a) == fraction_span(ra, d)
+            assert view(join(a, b)) == fraction_span(ra + rb, d)
+            assert view(orthocomplement(a)) == fraction_null_space(ra, d)
+            assert view(meet(a, b)) == fraction_null_space(
+                fraction_null_space(ra, d) + fraction_null_space(rb, d), d)
+            ranks.add((d, a.rank))
+        assert {(d, r) for d in range(1, 7) for r in range(d + 1)} <= ranks
+
+    def test_member_and_contains(self):
+        outcomes = set()
+        for d, ra, rb, v in lattice_corpus(1968, 400):
+            a = Subspace.from_span(ra, dim_ambient=d)
+            b = Subspace.from_span(rb, dim_ambient=d)
+            rank = len(fraction_span(ra, d))
+            inside = len(fraction_span(ra + [v], d)) == rank
+            assert member(Vector(v), a) == (Vector(v) in a) == inside
+            assert contains(a, b) == (len(fraction_span(ra + rb, d)) == rank)
+            assert contains(join(a, b), a) and contains(a, meet(a, b))
+            outcomes.add((inside, contains(a, b)))
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+
+    def test_matrix_spaces_and_rref(self):
+        rng = Random(1970)
+        for i in range(300):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            entries = spanning_rows(rng, ncols, i % 4 == 0)[:nrows]
+            entries += [[Fraction(0)] * ncols] * (nrows - len(entries))
+            m = Matrix(entries)
+            assert view(null_space(m)) == fraction_null_space(entries, ncols)
+            assert view(column_space(m)) == \
+                fraction_span(list(zip(*entries)), nrows)
+            reduced = fraction_span(entries, ncols)
+            assert rref(m).rows == tuple(reduced) + \
+                ((Fraction(0),) * ncols,) * (nrows - len(reduced))
+
+    def test_full_and_zero(self):
+        for d in range(1, 7):
+            assert view(Subspace.full(d)) == fraction_span(
+                [[int(i == j) for j in range(d)] for i in range(d)], d)
+            assert view(Subspace.zero(d)) == []
+            assert orthocomplement(Subspace.zero(d)) == Subspace.full(d)
+            assert meet(Subspace.full(d), Subspace.full(d)).is_full()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.one_of(st.fractions(-5, 5, max_denominator=4),
+                           st.integers(-10 ** 30, 10 ** 30)),
+                 min_size=d, max_size=d),
+        max_size=d + 2))))
+    def test_from_span_hypothesis(self, case):
+        d, rows = case
+        assert view(Subspace.from_span(rows, dim_ambient=d)) == \
+            fraction_span(rows, d)

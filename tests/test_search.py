@@ -19,9 +19,9 @@ from kscontext import (Assignment, InconsistentAssignmentError, PinVerdict,
                        to_projector_set)
 from kscontext.contexts import OrthogonalityGraph, _members, _parts
 
-from _gen import (brute_admissible, d_roots, first_shared_context,
-                  graph_components, oracle_adjacency, peres24,
-                  random_orthogonal_basis, random_ray_corpus,
+from _gen import (brute_admissible, cube_ray_sample, d_roots,
+                  first_shared_context, graph_components, oracle_adjacency,
+                  peres24, random_orthogonal_basis, random_ray_corpus,
                   random_split_corpus, recursive_component_count,
                   recursive_search_task)
 
@@ -252,6 +252,8 @@ class TestWitnessReuse:
             first = sorted(ps.projectors)[0]
             for fixed in ({}, {first: 1}, {first: 0}):
                 yield ps, fixed
+        # a counting pass would walk 688,236 nodes here (ROADMAP item 13)
+        yield cube_ray_sample(), {}
 
     def test_same_verdicts_in_the_same_order_as_plain_search(self):
         checked = 0
