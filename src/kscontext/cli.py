@@ -17,6 +17,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -221,6 +222,8 @@ def _cmd_eval(args, cf, ps):
                                     key: shown, "sum": total})
         rendered = " ".join(f"{m}={v}" for m, v in zip(ctx.members, shown))
         lines.append(f"context {ctx.label or '?'}: {rendered}  sum={total}")
+    if not payload["contexts"]:
+        lines.append("contexts: none")
     if bivalent:
         payload["gaps"] = [l for l, t in value.items() if t is TruthValue.GAP]
         lines.append("gaps: " + (" ".join(payload["gaps"]) or "none"))
@@ -286,7 +289,9 @@ def _render_json(obj, depth: int = 0) -> str:
     the encoder escapes every control character inside strings, so each
     raw newline is a separator's, and a separator between a closing and
     an opening bracket joins two items: inside a flat container it
-    follows a scalar.
+    follows a scalar.  A list of dicts with one key set and values of
+    type exactly `int` (the `color --mode all` witnesses) skips the
+    encoder: `_render_int_dicts` formats each dict from one %-template.
     """
     encoder = _flat_encoder(depth)
     if not isinstance(obj, _CONTAINERS):
@@ -299,11 +304,15 @@ def _render_json(obj, depth: int = 0) -> str:
         if not obj:
             return flat
         return f"{flat[0]}\n{inner}{flat[1:-1]}\n{outer}{flat[-1]}"
-    if (not is_dict and kinds <= {dict, list, tuple} and all(obj)
-            and _holds_no_container(set(map(type, itertools.chain.from_iterable(
-                item.values() if type(item) is dict else item
-                for item in obj))))):
-        return _render_flat_items(obj, depth, kinds)
+    if not is_dict and kinds <= {dict, list, tuple} and all(obj):
+        values = set(map(type, itertools.chain.from_iterable(
+            item.values() if type(item) is dict else item for item in obj)))
+        if values == {int} and kinds == {dict}:
+            text = _render_int_dicts(obj, depth)
+            if text is not None:
+                return text
+        if _holds_no_container(values):
+            return _render_flat_items(obj, depth, kinds)
     if is_dict:
         parts = [f"{encoder.encode(k)}: {_render_json(v, depth + 1)}"
                  for k, v in sorted(obj.items())]
@@ -332,6 +341,33 @@ def _render_flat_items(items, depth: int, kinds) -> str:
     tail = f"\n{inner}{text[-2]}\n{'  ' * depth}]"
     text = text[2:-2]       # the full text is freed before the join
     return "".join((head, text, tail))
+
+
+def _render_int_dicts(items, depth: int) -> str | None:
+    """`_render_json` of a list of non-empty dicts whose values are all of
+    type `int`, or None unless they share the first dict's string keys.
+
+    One %-template of the sorted keys, each key encoded in C with any '%'
+    doubled and each value a "%d", formats every dict; "%d" writes an int
+    as the encoder's `int.__repr__` does.
+    """
+    keys = sorted(items[0])
+    if (not all(type(k) is str for k in keys)
+            or set(map(len, items)) != {len(keys)}):
+        return None
+    encode = _flat_encoder(depth).encode
+    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
+    slots = f",\n{deeper}".join(f"{encode(k).replace('%', '%%')}: %d"
+                                 for k in keys)
+    template = f"{{\n{deeper}{slots}\n{inner}}}"
+    try:
+        parts = list(map(template.__mod__,
+                         map(operator.itemgetter(*keys), items)))
+    except KeyError:          # as many keys, other ones
+        return None
+    parts[0] = f"[\n{inner}{parts[0]}"
+    parts[-1] = f"{parts[-1]}\n{'  ' * depth}]"
+    return f",\n{inner}".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,23 @@ class TestEval:
                                    state)[1]
         assert judged == [TruthValue.TRUE, Fraction(1), TruthValue.TRUE]
 
+    @pytest.mark.parametrize("semantics", ["bivalent", "born"])
+    @pytest.mark.parametrize("text,state", [
+        ("dim 1\nvec a = 1\n", "1"),
+        ("dim 2\nvec a = 1 0\nvec b = 0 1\nspan I = a b\n", "1,0")])
+    def test_no_context_to_evaluate_is_said(self, capsys, tmp_path, text,
+                                            state, semantics):
+        # a lone identity projector forms no maximal context of two or more
+        path = tmp_path / "lone.pset"
+        path.write_text(text)
+        argv = ["eval", str(path), "--state", state, "--semantics", semantics]
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert "\ncontexts: none\n" in out
+        assert "context " not in out
+        _, report = run_json(capsys, *argv)
+        assert report["result"]["contexts"] == []
+
     @pytest.mark.parametrize("q1,state", [(False, "1"), (False, "x"),
                                           (True, "x")])
     def test_one_entry_elsewhere_keeps_its_message(self, capsys, tmp_path,
@@ -558,6 +575,47 @@ _JSON_TREES = st.recursive(
                   | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
     max_leaves=40)
 
+_INTS = st.integers(min_value=-10 ** 45, max_value=10 ** 45)
+
+
+@st.composite
+def _int_dict_lists(draw):
+    """Lists of dicts over one drawn key set, each in its own key order,
+    with int values; about one list in two has one bool or str value."""
+    keys = draw(st.lists(_JSON_TEXT, min_size=1, max_size=5, unique=True))
+    items = [dict(zip(draw(st.permutations(keys)), values)) for values in
+             draw(st.lists(st.lists(_INTS, min_size=len(keys),
+                                    max_size=len(keys)),
+                           min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(items))
+        odd[draw(st.sampled_from(keys))] = draw(st.booleans() | _JSON_TEXT)
+    return items
+
+
+class _Tagged(int):
+    def __repr__(self):
+        return "tagged"
+
+
+# lists that look like `color --mode all` witnesses, and near misses
+_WITNESS_LIKE = {
+    "escaped keys": [{'q"uote': 1, "back\\slash": 0, "%d": 2, "100%": 3,
+                      "%%s%": 4, "é€😀": 5, "\x00\n\t\x1f\u2028": 6}] * 2,
+    "one key": [{"a": 1}, {"a": 0}, {"a": 1}],
+    "wide ints": [{"a": -1, "b": 10 ** 40}, {"a": -10 ** 40 + 7, "b": 0}],
+    "bools": [{"a": True, "b": False}, {"a": False, "b": True}],
+    "a bool among ints": [{"a": 1, "b": 0}, {"a": True, "b": 0}],
+    "int subclass": [{"a": _Tagged(3), "b": 0}, {"a": 1, "b": 0}],
+    "key orders differ": [{"a": 1, "b": 0, "c": 1}, {"c": 0, "a": 1, "b": 0}],
+    "other keys, same size": [{"a": 1, "b": 0}, {"a": 0, "c": 1}],
+    "fewer keys later": [{"a": 1, "b": 0}, {"a": 0}],
+    "more keys later": [{"a": 1}, {"a": 0, "b": 1}],
+    "int keys": [{2: 1, 1: 0}, {1: 1, 2: 0}],
+    "a str value": [{"a": 1, "b": "1"}, {"a": 0, "b": 1}],
+    "dicts and lists": [{"a": 1}, [1, 0], {"a": 0}],
+}
+
 # the corpora with the fewest labels: no label, one ray, the identity
 _TINY_PSETS = {"empty": "dim 2\n",
                "one-ray": "dim 3\nvec a = 1 2 3\n",
@@ -614,7 +672,9 @@ class TestJsonRendering:
                 "empty": [{}], "one-ray": [{"a": 1}, {"a": 0}],
                 "identity": [{"I": 1}]}[name]
 
-    def test_flat_items_take_one_encoder_call(self, monkeypatch):
+    @staticmethod
+    def count_encodings(monkeypatch):
+        """Records every object given to the cached encoders."""
         encoded = []
         encoder = cli._flat_encoder
 
@@ -627,11 +687,37 @@ class TestJsonRendering:
                 return self.encoder.encode(obj)
 
         monkeypatch.setattr(cli, "_flat_encoder", Counting)
+        return encoded
+
+    def test_flat_items_take_one_encoder_call(self, monkeypatch):
+        encoded = self.count_encodings(monkeypatch)
+        # a str value keeps the list off the int template
+        items = [{"b": k % 2, "a": str(k // 2 % 2)} for k in range(1000)]
+        report = {"result": {"items": items}}
+        assert cli._render_json(report) == stdlib_render(report)
+        assert encoded.count(items) == 1
+        assert not any(w in encoded for w in items[:4])
+
+    def test_int_witnesses_skip_the_encoder(self, monkeypatch):
+        encoded = self.count_encodings(monkeypatch)
         witnesses = [{"b": k % 2, "a": k // 2 % 2} for k in range(1000)]
         report = {"result": {"witnesses": witnesses}}
         assert cli._render_json(report) == stdlib_render(report)
-        assert encoded.count(witnesses) == 1
-        assert not any(w in encoded for w in witnesses[:4])
+        # only the keys and labels: no witness, nor the list of them
+        assert all(type(obj) is str for obj in encoded)
+        assert len(encoded) < 10
+
+    @pytest.mark.parametrize("name", sorted(_WITNESS_LIKE))
+    def test_witness_like_lists_render_like_stdlib(self, name):
+        items = _WITNESS_LIKE[name]
+        for tree in (items, {"result": {"witnesses": items}}, [[items]]):
+            assert cli._render_json(tree) == stdlib_render(tree)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_int_dict_lists())
+    def test_int_dict_lists_render_like_stdlib(self, items):
+        for tree in (items, {"w": items, "k": 0}):
+            assert cli._render_json(tree) == stdlib_render(tree)
 
     def test_witnesses_reach_the_renderer_uncopied(self, capsys, monkeypatch):
         results, reports = [], []
