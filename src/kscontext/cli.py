@@ -260,104 +260,53 @@ def _cmd_localize(args, cf, ps):
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-_CONTAINERS = (dict, list, tuple)     # what the encoder writes as {} or []
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """Writes a container whose items sit at `depth` + 1, in C."""
-    return json.JSONEncoder(sort_keys=True,
-                            separators=(",\n" + "  " * (depth + 1), ": "))
-
-
-def _holds_no_container(kinds) -> bool:
-    """No container among items of these types: one subclass test per type."""
-    return not any(issubclass(t, _CONTAINERS) for t in kinds)
-
-
 def _render_json(obj, depth: int = 0) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for a
-    tree of dicts with string keys, lists and scalars.
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for
+    `obj` at `depth` in a report.
 
-    `indent` sends the stdlib to its pure-Python encoder; with `indent`
-    left at None it encodes in C.  So a flat container (one that holds no
-    container) is encoded in C with the item separator ",\\n" plus the
-    indentation of its items, and only its first and last brackets are
-    padded here.  A list of non-empty flat dicts and lists is encoded in
-    one call the same way, with the separator of its items' items, and
-    the joints between its items are re-indented.  That is exact because
-    the encoder escapes every control character inside strings, so each
-    raw newline is a separator's, and a separator between a closing and
-    an opening bracket joins two items: inside a flat container it
-    follows a scalar.  A list of dicts with one key set and values of
-    type exactly `int` (the `color --mode all` witnesses) skips the
-    encoder: `_render_int_dicts` formats each dict from one %-template.
+    A non-empty plain dict with only `str` keys is opened here, so that
+    the witness list of `color --mode all` reaches `_render_int_dicts`,
+    which formats it from one %-template; that list is the one part of a
+    report the standard library's indent encoder renders slowly.  Any
+    other value, and any list the template declines, is rendered by
+    `json.dumps` and indented by `depth` after each raw newline.  That is
+    exact because the encoder escapes every control character inside
+    strings, so each raw newline is one of its line breaks.
     """
-    encoder = _flat_encoder(depth)
-    if not isinstance(obj, _CONTAINERS):
-        return encoder.encode(obj)
-    is_dict = isinstance(obj, dict)
-    inner, outer = "  " * (depth + 1), "  " * depth
-    kinds = set(map(type, obj.values() if is_dict else obj))
-    if _holds_no_container(kinds):
-        flat = encoder.encode(obj)
-        if not obj:
-            return flat
-        return f"{flat[0]}\n{inner}{flat[1:-1]}\n{outer}{flat[-1]}"
-    if not is_dict and kinds <= {dict, list, tuple} and all(obj):
-        values = set(map(type, itertools.chain.from_iterable(
-            item.values() if type(item) is dict else item for item in obj)))
-        if values == {int} and kinds == {dict}:
-            text = _render_int_dicts(obj, depth)
-            if text is not None:
-                return text
-        if _holds_no_container(values):
-            return _render_flat_items(obj, depth, kinds)
-    if is_dict:
-        parts = [f"{encoder.encode(k)}: {_render_json(v, depth + 1)}"
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        inner = "  " * (depth + 1)
+        parts = [f"{json.dumps(k)}: {_render_json(v, depth + 1)}"
                  for k, v in sorted(obj.items())]
-    else:
-        parts = [_render_json(v, depth + 1) for v in obj]
-    opening, closing = "{}" if is_dict else "[]"
-    # the brackets go onto the end parts, so that one join copies a long
-    # part and at most two copies of it live at once
-    parts[0] = f"{opening}\n{inner}{parts[0]}"
-    parts[-1] = f"{parts[-1]}\n{outer}{closing}"
-    return f",\n{inner}".join(parts)
+        # the brackets go onto the end parts, so that one join copies a
+        # long part and at most two copies of it live at once
+        parts[0] = f"{{\n{inner}{parts[0]}"
+        parts[-1] = f"{parts[-1]}\n{'  ' * depth}}}"
+        return f",\n{inner}".join(parts)
+    text = _render_int_dicts(obj, depth) if type(obj) is list else None
+    if text is None:
+        text = json.dumps(obj, indent=2, sort_keys=True).replace(
+            "\n", "\n" + "  " * depth)
+    return text
 
 
-def _render_flat_items(items, depth: int, kinds) -> str:
-    """`_render_json` of a list of non-empty flat containers whose types
-    are `kinds`: one C encoding, then each joint of a closing bracket,
-    ",\\n" plus the items' items' indentation and an opening bracket is
-    re-indented, as are the first opening and the last closing bracket."""
-    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
-    text = _flat_encoder(depth + 1).encode(items)
-    brackets = {"{}" if kind is dict else "[]" for kind in kinds}
-    for (_, closing), (opening, _) in itertools.product(brackets, repeat=2):
-        text = text.replace(f"{closing},\n{deeper}{opening}",
-                            f"\n{inner}{closing},\n{inner}{opening}\n{deeper}")
-    head = f"[\n{inner}{text[1]}\n{deeper}"
-    tail = f"\n{inner}{text[-2]}\n{'  ' * depth}]"
-    text = text[2:-2]       # the full text is freed before the join
-    return "".join((head, text, tail))
+def _render_int_dicts(items: list, depth: int) -> str | None:
+    """`_render_json` of a non-empty list of plain dicts that share one
+    set of `str` keys and whose values are all of type exactly `int` (the
+    `color --mode all` witnesses), or None for any other list.
 
-
-def _render_int_dicts(items, depth: int) -> str | None:
-    """`_render_json` of a list of non-empty dicts whose values are all of
-    type `int`, or None unless they share the first dict's string keys.
-
-    One %-template of the sorted keys, each key encoded in C with any '%'
+    One %-template of the sorted keys, each key encoded with any '%'
     doubled and each value a "%d", formats every dict; "%d" writes an int
     as the encoder's `int.__repr__` does.
     """
-    keys = sorted(items[0])
-    if (not all(type(k) is str for k in keys)
-            or set(map(len, items)) != {len(keys)}):
+    if (set(map(type, items)) != {dict}
+            or not all(type(k) is str for k in items[0])):
         return None
-    encode = _flat_encoder(depth).encode
+    keys = sorted(items[0])
+    values = itertools.chain.from_iterable(map(dict.values, items))
+    if set(map(len, items)) != {len(keys)} or set(map(type, values)) != {int}:
+        return None
     inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
-    slots = f",\n{deeper}".join(f"{encode(k).replace('%', '%%')}: %d"
+    slots = f",\n{deeper}".join(f"{json.dumps(k).replace('%', '%%')}: %d"
                                  for k in keys)
     template = f"{{\n{deeper}{slots}\n{inner}}}"
     try:

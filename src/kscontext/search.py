@@ -142,9 +142,15 @@ def check_assignment(ps: ProjectorSet, assignment: Assignment | Mapping[str, int
 
 def _checked_values(ps: ProjectorSet, assignment: Assignment | Mapping[str, int]
                     ) -> dict[str, int]:
-    """The values, once `Assignment` has checked them and every label is known."""
+    """The values, once `Assignment` has checked them, each is an `int` and
+    every label is known."""
     if not isinstance(assignment, Assignment):
         assignment = Assignment(assignment)
+    # Assignment takes 1.0 and Fraction(1), which equal 1; the search's own
+    # witnesses are ints and skip this scan
+    bad = {k: v for k, v in assignment.values.items() if not isinstance(v, int)}
+    if bad:
+        raise ValueError(f"assignment values must be 0 or 1, got {bad}")
     unknown = [k for k in assignment.values if k not in ps.projectors]
     if unknown:
         raise UnknownLabelError(unknown[0])

@@ -561,8 +561,7 @@ _JSON_TEXT = st.text(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028'
                                      'é€😀{}[],: ') | st.characters())
 _JSON_SCALARS = (st.none() | st.booleans() | st.floats() | _JSON_TEXT
                  | st.integers(min_value=-10 ** 80, max_value=10 ** 80))
-# lists of flat containers, some empty, which render in one encoder call
-# when none is empty
+# lists of flat containers, some empty: the shape of most report lists
 _FLAT_ITEMS = st.lists(
     st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=4)
     | st.lists(_JSON_SCALARS, min_size=1, max_size=4)
@@ -672,40 +671,34 @@ class TestJsonRendering:
                 "empty": [{}], "one-ray": [{"a": 1}, {"a": 0}],
                 "identity": [{"I": 1}]}[name]
 
-    @staticmethod
-    def count_encodings(monkeypatch):
-        """Records every object given to the cached encoders."""
-        encoded = []
-        encoder = cli._flat_encoder
+    def test_witnesses_skip_the_encoder(self, capsys, monkeypatch):
+        started = []        # the object each indent encoding starts from
+        make = json.encoder._make_iterencode
 
-        class Counting:
-            def __init__(self, depth):
-                self.encoder = encoder(depth)
+        def recording(*args, **kwargs):
+            iterencode = make(*args, **kwargs)
 
-            def encode(self, obj):
-                encoded.append(obj)
-                return self.encoder.encode(obj)
+            def start(obj, level):
+                started.append(obj)
+                return iterencode(obj, level)
+            return start
 
-        monkeypatch.setattr(cli, "_flat_encoder", Counting)
-        return encoded
+        def witness_or_list(obj):
+            return type(obj) is dict or (type(obj) is list
+                                         and dict in map(type, obj))
 
-    def test_flat_items_take_one_encoder_call(self, monkeypatch):
-        encoded = self.count_encodings(monkeypatch)
-        # a str value keeps the list off the int template
-        items = [{"b": k % 2, "a": str(k // 2 % 2)} for k in range(1000)]
-        report = {"result": {"items": items}}
-        assert cli._render_json(report) == stdlib_render(report)
-        assert encoded.count(items) == 1
-        assert not any(w in encoded for w in items[:4])
-
-    def test_int_witnesses_skip_the_encoder(self, monkeypatch):
-        encoded = self.count_encodings(monkeypatch)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+        status, out, err = run(capsys, "color", "--builtin", "cabello-c1c6",
+                               "--mode", "all", "--format", "json")
+        assert started and not any(map(witness_or_list, started))
         witnesses = [{"b": k % 2, "a": k // 2 % 2} for k in range(1000)]
         report = {"result": {"witnesses": witnesses}}
-        assert cli._render_json(report) == stdlib_render(report)
-        # only the keys and labels: no witness, nor the list of them
-        assert all(type(obj) is str for obj in encoded)
-        assert len(encoded) < 10
+        rendered = cli._render_json(report)
+        assert not any(map(witness_or_list, started))
+        monkeypatch.undo()
+        assert status == 0 and err == ""
+        assert out == stdlib_render(json.loads(out)) + "\n"
+        assert rendered == stdlib_render(report)
 
     @pytest.mark.parametrize("name", sorted(_WITNESS_LIKE))
     def test_witness_like_lists_render_like_stdlib(self, name):
@@ -733,19 +726,6 @@ class TestJsonRendering:
         assert len(rendered) == results[0].count > 1
         assert all(r is w.values for r, w in zip(rendered, results[0].witnesses))
 
-    @pytest.mark.skipif(json.encoder.c_make_encoder is None,
-                        reason="no C accelerator in this interpreter")
-    def test_reports_skip_the_pure_python_encoder(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the pure-Python JSON encoder ran")
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-        status, out, err = run(capsys, "color", "--builtin", "cabello-c1c6",
-                               "--mode", "all", "--format", "json")
-        monkeypatch.undo()
-        assert status == 0 and err == ""
-        assert out == stdlib_render(json.loads(out)) + "\n"
-
     @settings(max_examples=300, deadline=None, database=None)
     @given(_JSON_TREES)
     @example({})
@@ -759,5 +739,9 @@ class TestJsonRendering:
     @example([[{"a": 1}], {"b": [2]}])
     @example([OrderedDict(a=[1]), OrderedDict(b=2)])
     @example({"w": [Counter(a=1, b=0), Counter(c=1)]})
+    @example({1: [{"a": 1}]})
+    @example({1: [{"a": 1}], 2: 0})
+    @example({"x": {"y": {"w": [{"a": 1, "b": 0}]}}})
+    @example({"d": {}, "l": []})
     def test_trees_render_like_stdlib(self, tree):
         assert cli._render_json(tree) == stdlib_render(tree)

@@ -6,6 +6,7 @@ witnesses must round-trip through check_assignment.
 
 import itertools
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -102,6 +103,19 @@ class TestAssignmentValues:
     def test_accepted_and_kept(self, value):
         assert Assignment({"a": value, "b": 0}).values == {"a": value, "b": 0}
         assert Assignment({}).values == {}
+
+    @pytest.mark.parametrize("wrap", [dict, Assignment])
+    @pytest.mark.parametrize("value", [1.0, 0.0, Fraction(1)])
+    @pytest.mark.parametrize("call", [
+        check_assignment,
+        localized_indefiniteness_certificate,
+        lambda ps, fixed: admissible_assignments(ps, fixed=fixed)])
+    def test_non_int_values_rejected_by_the_search(self, c1c6, call, value,
+                                                   wrap):
+        message = f"assignment values must be 0 or 1, got {{'P1_1': {value!r}}}"
+        with pytest.raises(ValueError) as err:
+            call(c1c6, wrap({"P1_1": value, "P1_2": 0}))
+        assert str(err.value) == message
 
 
 class TestAdmissibleAssignments:
