@@ -267,11 +267,14 @@ def _render_json(obj, depth: int = 0) -> str:
     A non-empty plain dict with only `str` keys is opened here, so that
     the witness list of `color --mode all` reaches `_render_int_dicts`,
     which formats it from one %-template; that list is the one part of a
-    report the standard library's indent encoder renders slowly.  Any
-    other value, and any list the template declines, is rendered by
-    `json.dumps` and indented by `depth` after each raw newline.  That is
-    exact because the encoder escapes every control character inside
-    strings, so each raw newline is one of its line breaks.
+    report the standard library's indent encoder renders slowly.  A
+    `str`, `int`, `bool` or None is rendered by a plain `json.dumps(obj)`,
+    the module's one cached encoder, since `indent` shapes containers
+    only.  Any other value, and any list the template declines, is
+    rendered by `json.dumps` and indented by `depth` after each raw
+    newline.  That is exact because the encoder escapes every control
+    character inside strings, so each raw newline is one of its line
+    breaks.
     """
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         inner = "  " * (depth + 1)
@@ -282,6 +285,8 @@ def _render_json(obj, depth: int = 0) -> str:
         parts[0] = f"{{\n{inner}{parts[0]}"
         parts[-1] = f"{parts[-1]}\n{'  ' * depth}}}"
         return f",\n{inner}".join(parts)
+    if type(obj) in (str, int, bool, type(None)):
+        return json.dumps(obj)
     text = _render_int_dicts(obj, depth) if type(obj) is list else None
     if text is None:
         text = json.dumps(obj, indent=2, sort_keys=True).replace(

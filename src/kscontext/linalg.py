@@ -27,6 +27,7 @@ The lattice operations follow the usual subspace lattice:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -124,7 +125,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, n: int, m: int | None = None) -> "Matrix":
-        return cls([[0] * (m or n) for _ in range(n)])
+        return cls([[0] * (n if m is None else m) for _ in range(n)])
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -152,7 +153,11 @@ class Matrix:
         )
 
     def is_idempotent(self) -> bool:
-        return self.is_square() and self @ self == self
+        """Whether m @ m == m, exactly.  The product is decided once per
+        distinct matrix per process: the verdict is kept in a bounded memo
+        (`_idempotent`) keyed by the matrix itself, which hashes and
+        compares by its Fraction rows."""
+        return _idempotent(self)
 
     def column(self, j: int) -> Vector:
         return Vector(r[j] for r in self._rows)
@@ -219,6 +224,11 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self._rows)
         return f"Matrix([{body}])"
+
+
+@functools.lru_cache(maxsize=4096)
+def _idempotent(m: Matrix) -> bool:
+    return m.is_square() and m @ m == m
 
 
 def primitive_integers(entries: Iterable[Rational]) -> tuple[int, ...]:
@@ -383,7 +393,10 @@ class Projector:
     """Idempotent symmetric rational matrix, optionally labeled.
 
     Over Q idempotence plus symmetry already pin the eigenvalues to
-    exactly 0 and 1, so construction only has those two checks.
+    exactly 0 and 1, so construction only has those two checks.  Both run
+    on every construction; the idempotence product itself is computed
+    once per distinct matrix per process (`Matrix.is_idempotent`), so
+    rebuilding a projector already seen re-reads its verdict.
 
     Each projector also owns the canonical rows of its range, primitive
     integer rows (`range_basis`), derived once and shared by relabeled

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import kscontext
 from kscontext import (TruthValue, admissible_assignments, cli, contexts,
-                       corpus, emit, find_maximal_contexts)
+                       corpus, emit, find_maximal_contexts, linalg)
 from kscontext.cli import main
 
 from _gen import peres24, random_split_corpus
@@ -485,6 +485,50 @@ class TestCallsInOneProcess:
                                                  0, 1, 0, 1, 2, 3]
 
 
+SPAN_PSET = """\
+dim 4
+vec a = 1 0 0 0
+vec b = 0 1 0 0
+vec c = 0 0 1 1
+vec d = 0 0 1 -1
+vec e = 1 1 0 0
+vec f = 1 -1 0 0
+span ab = a b
+context C = ab c d
+context D = e f c d
+state s = 1 2 1 0
+"""
+
+
+class TestColdAndWarmMemo:
+    def test_second_round_prints_the_same_bytes(self, capsys, tmp_path,
+                                                peres_file):
+        # the idempotence memo starts empty, then answers every rebuild
+        span_file = tmp_path / "span.pset"
+        span_file.write_text(SPAN_PSET)
+        calls = []
+        for path, state, fix in ((peres_file, "1,1,0,0", "p00=1"),
+                                 (span_file, "s", "ab=1")):
+            calls += [["eval", str(path), "--state", state,
+                       "--semantics", semantics, "--format", fmt]
+                      for semantics in ("bivalent", "born")
+                      for fmt in ("text", "json")]
+            calls += [["validate", str(path)],
+                      ["validate", str(path), "--format", "json"],
+                      ["localize", str(path), "--format", "json"],
+                      ["localize", str(path), "--fix", fix]]
+            calls += [["color", str(path), "--mode", mode, "--format", "json"]
+                      for mode in ("first", "count", "all")]
+        linalg._idempotent.cache_clear()
+        cold = [run(capsys, *argv) for argv in calls]
+        misses = linalg._idempotent.cache_info().misses
+        warm = [run(capsys, *argv) for argv in calls]
+        assert linalg._idempotent.cache_info().misses == misses > 0
+        for argv, first, second in zip(calls, cold, warm):
+            assert second == first, argv
+        assert [status for status, _, _ in cold] == [0] * len(calls)
+
+
 class TestJsonFormat:
     def test_versioned_and_hashed(self, capsys):
         status, payload = run_json(capsys, "validate",
@@ -699,6 +743,18 @@ class TestJsonRendering:
         assert status == 0 and err == ""
         assert out == stdlib_render(json.loads(out)) + "\n"
         assert rendered == stdlib_render(report)
+
+    def test_scalars_skip_the_indent_encoder(self, monkeypatch):
+        built = []
+        make = json.encoder._make_iterencode
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            lambda *a, **k: built.append(a) or make(*a, **k))
+        report = {"s": "é\n\"", "i": -10 ** 30, "t": True, "f": False,
+                  "n": None, "d": {"c": 0, "b": "1/2"}}
+        rendered = cli._render_json(report)
+        assert built == []
+        assert rendered == stdlib_render(report)
+        assert built
 
     @pytest.mark.parametrize("name", sorted(_WITNESS_LIKE))
     def test_witness_like_lists_render_like_stdlib(self, name):

@@ -17,9 +17,11 @@ from kscontext import (BUILTIN_NAMES, Matrix, Projector, Subspace, Vector,
                        builtin, column_space, complement, contains,
                        is_orthogonal, join, meet, member, null_space,
                        orthocomplement, projector_from_span, rref)
+from kscontext.linalg import _idempotent
 
 from _gen import (fraction_null_space, fraction_span, gram_schmidt,
-                  random_orthogonal_basis, random_subspace, random_vector)
+                  random_fraction, random_orthogonal_basis, random_subspace,
+                  random_vector)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -378,6 +380,114 @@ class TestProjectorValidation:
     def test_not_square(self):
         with pytest.raises(ValueError):
             Projector(Matrix([[1, 0, 0], [0, 1, 0]]))
+
+
+class TestMatrixZero:
+    def test_zero_width_or_height_rejected(self):
+        for n, m in ((3, 0), (0, 3), (0, None)):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                Matrix.zero(n, m)
+        assert (Matrix.zero(2, 3).nrows, Matrix.zero(2, 3).ncols) == (2, 3)
+        assert Matrix.zero(3) == Matrix([[0] * 3] * 3)
+
+
+def uncached_idempotent(m: Matrix) -> bool:
+    return m.is_square() and m @ m == m
+
+
+def unipotent_pair(rng: Random, d: int) -> tuple[Matrix, Matrix]:
+    """S = I + N with N strictly upper triangular and rational, and its
+    inverse, the finite series I - N + N^2 - ... (N is nilpotent)."""
+    n = Matrix([[random_fraction(rng) if j > i else 0 for j in range(d)]
+                for i in range(d)])
+    inverse, power = Matrix.identity(d), Matrix.identity(d)
+    for _ in range(d - 1):
+        power = power @ (n * -1)
+        inverse = inverse + power
+    return Matrix.identity(d) + n, inverse
+
+
+def memo_corpus(seed: int, count: int):
+    """Seeded rational matrices in (kind, matrix) pairs: orthogonal
+    projectors from the Fraction Gram-Schmidt of random rays, oblique
+    idempotents S P S^-1, and a near miss of each, one entry moved."""
+    rng = Random(seed)
+    corpus = []
+    for _ in range(count):
+        d = rng.randint(1, 5)
+        rays = random_orthogonal_basis(rng, d)[:rng.randint(0, d)]
+        p = gram_schmidt_matrix(rays or [Vector([0] * d)])
+        s, s_inv = unipotent_pair(rng, d)
+        oblique = s @ p @ s_inv
+        for kind, m in (("projector", p), ("oblique", oblique)):
+            corpus.append((kind, m))
+            i, j = rng.randrange(d), rng.randrange(d)
+            moved = [list(row) for row in m.rows]
+            moved[i][j] += random_fraction(rng) or 1
+            corpus.append((f"{kind} near miss", Matrix(moved)))
+            if kind == "projector":
+                # on the diagonal, so the miss stays symmetric
+                moved = [list(row) for row in m.rows]
+                moved[i][i] += random_fraction(rng) or 1
+                corpus.append(("symmetric near miss", Matrix(moved)))
+    return corpus
+
+
+class TestIdempotenceMemo:
+    """`Matrix.is_idempotent` reads a bounded per-process memo; the plain
+    product is its oracle."""
+
+    def test_verdicts_match_the_product_cold_and_warm(self):
+        corpus = memo_corpus(31415, 80)
+        _idempotent.cache_clear()
+        cold = [m.is_idempotent() for _, m in corpus]
+        misses = _idempotent.cache_info().misses
+        warm = [Matrix(m.rows).is_idempotent() for _, m in corpus]
+        assert cold == warm == [uncached_idempotent(m) for _, m in corpus]
+        assert _idempotent.cache_info().misses == misses
+        verdicts = {(kind, v) for (kind, _), v in zip(corpus, cold)}
+        assert {("projector", True), ("oblique", True),
+                ("projector near miss", False), ("oblique near miss", False),
+                ("symmetric near miss", False)} <= verdicts
+        assert any(kind == "oblique" and not m.is_symmetric()
+                   for kind, m in corpus)
+
+    def test_projector_still_rejects_after_a_warm_memo(self):
+        corpus = memo_corpus(2718, 60)
+        _idempotent.cache_clear()
+        for kind, m in corpus:
+            if kind in ("projector", "oblique"):
+                assert m.is_idempotent()
+        misses = [m for kind, m in corpus if kind == "symmetric near miss"
+                  and not uncached_idempotent(m)]
+        assert len(misses) > 20
+        for m in misses:
+            assert m.is_symmetric()
+            with pytest.raises(ValueError, match="idempotent"):
+                Projector(m)
+
+    def test_int_and_fraction_entries_share_one_verdict(self):
+        _idempotent.cache_clear()
+        for ints, fractions, verdict in (
+                ([[1, 0], [0, 0]], [[Fraction(2, 2), Fraction(0)],
+                                    [Fraction(0), Fraction(0, 5)]], True),
+                ([[1, 1], [0, 2]], [[Fraction(3, 3), Fraction(1)],
+                                    [Fraction(0), Fraction(4, 2)]], False)):
+            assert Matrix(ints).is_idempotent() is verdict
+            before = _idempotent.cache_info()
+            assert Matrix(fractions).is_idempotent() is verdict
+            after = _idempotent.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert _idempotent.cache_info().currsize == 2
+
+    def test_memo_is_bounded(self):
+        _idempotent.cache_clear()
+        maxsize = _idempotent.cache_info().maxsize
+        for k in range(-5, maxsize + 5):
+            assert Matrix([[k]]).is_idempotent() is (k in (0, 1))
+        info = _idempotent.cache_info()
+        assert info.misses == maxsize + 10
+        assert info.currsize <= maxsize
 
 
 class TestLatticeLaws:
