@@ -18,7 +18,6 @@ import hashlib
 import itertools
 import json
 import operator
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -260,42 +259,35 @@ def _cmd_localize(args, cf, ps):
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-def _render_json(obj, depth: int = 0) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for
-    `obj` at `depth` in a report.
+def _render_json(report: dict) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)`, byte for byte.
 
-    A non-empty plain dict with only `str` keys is opened here, so that
-    the witness list of `color --mode all` reaches `_render_int_dicts`,
-    which formats it from one %-template; that list is the one part of a
-    report the standard library's indent encoder renders slowly.  A
-    `str`, `int`, `bool` or None is rendered by a plain `json.dumps(obj)`,
-    the module's one cached encoder, since `indent` shapes containers
-    only.  Any other value, and any list the template declines, is
-    rendered by `json.dumps` and indented by `depth` after each raw
-    newline.  That is exact because the encoder escapes every control
-    character inside strings, so each raw newline is one of its line
-    breaks.
+    The witness list of `color --mode all`, `report["result"]["witnesses"]`,
+    is the one part of a report the standard library's indent encoder
+    renders slowly, so the report is dumped once with None in its place
+    and `_render_int_dicts` formats the list into the line that dump
+    wrote as `"witnesses": null`.  No JSON string holds that line, as
+    the encoder escapes every quote and newline inside strings, so the
+    only other match would be the same key in another dict one level
+    into the report.  Then, and for a missing list or one the template
+    declines, the report is dumped whole.
     """
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        inner = "  " * (depth + 1)
-        parts = [f"{json.dumps(k)}: {_render_json(v, depth + 1)}"
-                 for k, v in sorted(obj.items())]
-        # the brackets go onto the end parts, so that one join copies a
-        # long part and at most two copies of it live at once
-        parts[0] = f"{{\n{inner}{parts[0]}"
-        parts[-1] = f"{parts[-1]}\n{'  ' * depth}}}"
-        return f",\n{inner}".join(parts)
-    if type(obj) in (str, int, bool, type(None)):
-        return json.dumps(obj)
-    text = _render_int_dicts(obj, depth) if type(obj) is list else None
-    if text is None:
-        text = json.dumps(obj, indent=2, sort_keys=True).replace(
-            "\n", "\n" + "  " * depth)
-    return text
+    result = report["result"]
+    witnesses = result.get("witnesses")
+    listed = _render_int_dicts(witnesses, 2) if type(witnesses) is list else None
+    if listed is not None:
+        key = '\n    "witnesses": '
+        head, _, tail = json.dumps(
+            {**report, "result": {**result, "witnesses": None}},
+            indent=2, sort_keys=True).partition(key + "null")
+        if key + "null" not in tail:     # the first match is the only one
+            return f"{head}{key}{listed}{tail}"
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def _render_int_dicts(items: list, depth: int) -> str | None:
-    """`_render_json` of a non-empty list of plain dicts that share one
+    """`json.dumps(items, indent=2, sort_keys=True)` as it reads at
+    `depth` in a report, for a non-empty list of plain dicts that share one
     set of `str` keys and whose values are all of type exactly `int` (the
     `color --mode all` witnesses), or None for any other list.
 
@@ -327,13 +319,15 @@ def _render_int_dicts(items: list, depth: int) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _glue_negative_states(argv: list[str]) -> list[str]:
-    """`--state -1,2,0,0` as `--state=-1,2,0,0`.  argparse takes a value
-    that starts with '-' for an option unless it is one plain number, and
-    no option here starts with '-' and a digit."""
+    """`--state -1,2,0,0` as `--state=-1,2,0,0`, and so for any value
+    after `--state` or `--fix` that starts with one '-': a negative entry
+    or a label like `-a`, which the PSET grammar allows.  argparse takes
+    such a value for an option unless it is one plain number."""
     glued: list[str] = []
     for arg in argv:
-        if glued and glued[-1] == "--state" and re.match(r"-[0-9]", arg):
-            glued[-1] = f"--state={arg}"
+        if (glued and glued[-1] in ("--state", "--fix")
+                and arg.startswith("-") and not arg.startswith("--")):
+            glued[-1] = f"{glued[-1]}={arg}"
         else:
             glued.append(arg)
     return glued

@@ -48,7 +48,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, get_args
 
 from .contexts import (Context, ProjectorSet, UnknownLabelError, _digits,
                        _FLAGS, _members, _parts, find_maximal_contexts,
@@ -458,8 +458,12 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
     mode="first" stops at the first witness (canonical order: labels by
     descending context-degree then name, value 1 tried before 0);
     "all" collects every witness; "count" counts them exhaustively.
-    `fixed` pins labels before the search starts.
+    `fixed` pins labels before the search starts.  Any other mode raises
+    ValueError before any work.
     """
+    if mode not in get_args(Mode):
+        raise ValueError(f"mode must be 'first', 'all' or 'count', "
+                         f"got {mode!r}")
     fixed = _checked_values(ps, fixed or {})
     net = _network(ps)
     full = (1 << len(net.labels)) - 1

@@ -438,6 +438,36 @@ class TestLocalize:
         assert status == 1
 
 
+class TestDashLabels:
+    """Labels that start with '-', which the PSET grammar allows, named
+    after --fix or --state with or without '='."""
+
+    @pytest.mark.parametrize("split, glued, status, shown", [
+        (["localize", "--fix", "-a=1"], ["localize", "--fix=-a=1"], 0,
+         "forced-0: b"),
+        (["localize", "--fix", "-a=1,b=1"], ["localize", "--fix=-a=1,b=1"], 2,
+         "inconsistent fix"),
+        (["eval", "--state", "-s"], ["eval", "--state=-s"], 0, "gaps: -a b"),
+        (["eval", "--state", "-t"], ["eval", "--state=-t"], 1,
+         "--state '-t' is neither"),
+    ])
+    def test_both_spellings_agree(self, capsys, tmp_path, split, glued,
+                                  status, shown):
+        path = tmp_path / "dash.pset"
+        path.write_text("dim 2\nvec -a = 1 0\nvec b = 0 1\nstate -s = 1 1\n")
+        for fmt in ("text", "json"):
+            got = [run(capsys, command, str(path), *rest, "--format", fmt)
+                   for command, *rest in (split, glued)]
+            if fmt == "json" and status != 1:
+                # the reports differ only in the argv they echo
+                got = [(code, {**json.loads(out), "argv": None}, err)
+                       for code, out, err in got]
+            assert got[0] == got[1]
+            assert got[0][0] == status
+            if fmt == "text":
+                assert shown in got[0][1] + got[0][2]
+
+
 class TestCallsInOneProcess:
     def test_same_bytes_as_fresh_processes(self, capsys, monkeypatch,
                                            tmp_path):
@@ -665,6 +695,36 @@ _TINY_PSETS = {"empty": "dim 2\n",
                "identity": "dim 2\nvec a = 1 0\nvec b = 0 1\nspan I = a b\n"}
 
 
+def _report(witnesses=None, argv=(), **extra):
+    """A report shaped like `main`'s: `witnesses`, unless None, at
+    result["witnesses"], `extra` as further result keys, and `argv` after
+    an entry that holds the text `"witnesses": null`."""
+    result = {"mode": "all", "status": "SAT", **extra}
+    if witnesses is not None:
+        result["witnesses"] = witnesses
+    return {"report_version": cli.REPORT_VERSION, "command": "color",
+            "argv": ["color", '"witnesses": null.pset', *argv],
+            "corpus": {"source": '"witnesses": null.pset', "dimension": 3},
+            "result": result, "exit_status": 0}
+
+
+def record_encoder_starts(monkeypatch) -> list:
+    """The object each indent encoding starts from, from now on."""
+    started = []
+    make = json.encoder._make_iterencode
+
+    def recording(*args, **kwargs):
+        iterencode = make(*args, **kwargs)
+
+        def start(obj, level):
+            started.append(obj)
+            return iterencode(obj, level)
+        return start
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+    return started
+
+
 class TestJsonRendering:
     """The report renderer against `json.dumps(indent=2, sort_keys=True)`."""
 
@@ -716,57 +776,56 @@ class TestJsonRendering:
                 "identity": [{"I": 1}]}[name]
 
     def test_witnesses_skip_the_encoder(self, capsys, monkeypatch):
-        started = []        # the object each indent encoding starts from
-        make = json.encoder._make_iterencode
-
-        def recording(*args, **kwargs):
-            iterencode = make(*args, **kwargs)
-
-            def start(obj, level):
-                started.append(obj)
-                return iterencode(obj, level)
-            return start
-
-        def witness_or_list(obj):
-            return type(obj) is dict or (type(obj) is list
-                                         and dict in map(type, obj))
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+        started = record_encoder_starts(monkeypatch)
         status, out, err = run(capsys, "color", "--builtin", "cabello-c1c6",
                                "--mode", "all", "--format", "json")
-        assert started and not any(map(witness_or_list, started))
         witnesses = [{"b": k % 2, "a": k // 2 % 2} for k in range(1000)]
-        report = {"result": {"witnesses": witnesses}}
+        report = _report(witnesses)
         rendered = cli._render_json(report)
-        assert not any(map(witness_or_list, started))
         monkeypatch.undo()
+        # each encoding starts from a report that holds no witness list
+        assert [s["result"]["witnesses"] for s in started] == [None, None]
         assert status == 0 and err == ""
         assert out == stdlib_render(json.loads(out)) + "\n"
         assert rendered == stdlib_render(report)
 
-    def test_scalars_skip_the_indent_encoder(self, monkeypatch):
-        built = []
-        make = json.encoder._make_iterencode
-        monkeypatch.setattr(json.encoder, "_make_iterencode",
-                            lambda *a, **k: built.append(a) or make(*a, **k))
-        report = {"s": "é\n\"", "i": -10 ** 30, "t": True, "f": False,
-                  "n": None, "d": {"c": 0, "b": "1/2"}}
-        rendered = cli._render_json(report)
-        assert built == []
-        assert rendered == stdlib_render(report)
-        assert built
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--builtin", "cabello-18"],
+        ["color", "--builtin", "cabello-c1c6", "--mode", "all"],
+        ["color", "--builtin", "cabello-18", "--mode", "all"],
+        ["color", "--builtin", "cabello-c1c6", "--mode", "count"],
+        ["eval", "--builtin", "cabello-c1c6", "--state", "1,0,0,0"],
+        ["localize", "--builtin", "cabello-c1c6", "--fix", "P1_1=1"],
+    ])
+    def test_indent_encoder_starts_once_per_report(self, capsys, monkeypatch,
+                                                   argv):
+        started = record_encoder_starts(monkeypatch)
+        status, out, err = run(capsys, *argv, "--format", "json")
+        monkeypatch.undo()
+        assert (status, err) == (0, "")
+        # the one start is the report itself, never a witness dict
+        assert [s["argv"] for s in started] == [[*argv, "--format", "json"]]
+        assert not started[0]["result"].get("witnesses")
+        assert out == stdlib_render(json.loads(out)) + "\n"
 
     @pytest.mark.parametrize("name", sorted(_WITNESS_LIKE))
     def test_witness_like_lists_render_like_stdlib(self, name):
         items = _WITNESS_LIKE[name]
-        for tree in (items, {"result": {"witnesses": items}}, [[items]]):
-            assert cli._render_json(tree) == stdlib_render(tree)
+        for report in (_report(items), _report(items, ["--mode", "all"],
+                                               count=len(items), z=[items])):
+            assert cli._render_json(report) == stdlib_render(report)
+
+    def test_a_second_witnesses_key_renders_like_stdlib(self):
+        items = [{"a": 1, "b": 0}, {"a": 0, "b": 1}]
+        for other in ("corpus", "zz"):
+            report = {**_report(items), other: {"witnesses": None}}
+            assert cli._render_json(report) == stdlib_render(report)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(_int_dict_lists())
     def test_int_dict_lists_render_like_stdlib(self, items):
-        for tree in (items, {"w": items, "k": 0}):
-            assert cli._render_json(tree) == stdlib_render(tree)
+        for report in (_report(items), _report(items, ["-k"], k=0)):
+            assert cli._render_json(report) == stdlib_render(report)
 
     def test_witnesses_reach_the_renderer_uncopied(self, capsys, monkeypatch):
         results, reports = [], []
@@ -800,4 +859,8 @@ class TestJsonRendering:
     @example({"x": {"y": {"w": [{"a": 1, "b": 0}]}}})
     @example({"d": {}, "l": []})
     def test_trees_render_like_stdlib(self, tree):
-        assert cli._render_json(tree) == stdlib_render(tree)
+        witnesses = [{"b": 0, "a": 1}, {"a": 0, "b": 1}]
+        for report in (_report(None, [tree], tree=tree),
+                       _report([], [tree], tree=tree),
+                       _report(witnesses, [tree], tree=tree, u=[tree])):
+            assert cli._render_json(report) == stdlib_render(report)

@@ -161,6 +161,21 @@ class TestAdmissibleAssignments:
         assert result.status == "SAT"
         assert all(w.values["P1_1"] == 1 for w in result.witnesses)
 
+    @pytest.mark.parametrize("mode", ["Count", "", "any"])
+    def test_unknown_mode_raises_before_any_work(self, c1c6, monkeypatch,
+                                                 mode):
+        # an unknown mode once walked every model with no counting cache:
+        # 36,836,825,026,338 of them on the cube rays
+        def no_work(*args):
+            raise AssertionError("search work started")
+        monkeypatch.setattr(search, "_checked_values", no_work)
+        monkeypatch.setattr(search, "_network", no_work)
+        for ps in (c1c6, cube_ray_sample()):
+            with pytest.raises(ValueError) as err:
+                admissible_assignments(ps, mode=mode)
+            assert str(err.value) == (f"mode must be 'first', 'all' or "
+                                      f"'count', got {mode!r}")
+
     def test_mode_count_equals_len_witnesses(self, c1c6):
         full = admissible_assignments(c1c6, mode="all")
         count = admissible_assignments(c1c6, mode="count")
