@@ -273,7 +273,7 @@ def _emit_projector_set(ps: ProjectorSet) -> str:
             for i, v in enumerate(basis, start=1):
                 name = f"{label}.{i}"
                 while name in taken:
-                    name = name + "'"
+                    name = name + "_"  # stays within _LABEL_RE
                 taken.add(name)
                 derived.append(name)
                 lines.append(f"vec {name} = {_format_vector(v)}")

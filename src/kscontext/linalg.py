@@ -37,11 +37,19 @@ Rational = Union[Fraction, int]
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        # Fraction(0.1) is the binary double, not one tenth
+        raise TypeError(f"inexact float entry {x!r}: give an int, a Fraction "
+                        f"or an exact string such as '1/10'")
+    return Fraction(x)
 
 
 class Vector:
-    """Immutable vector with exact rational entries."""
+    """Immutable vector with exact rational entries.  Entries may be
+    ints, Fractions or anything else `Fraction` reads exactly (a string
+    such as '1/10', a Decimal); a float raises TypeError."""
 
     __slots__ = ("_entries",)
 
@@ -103,7 +111,8 @@ class Vector:
 
 
 class Matrix:
-    """Immutable matrix with exact rational entries.
+    """Immutable matrix with exact rational entries, accepted as `Vector`
+    accepts them.
 
     Most matrices here are square operators on Q^d, but rectangular shapes
     are allowed: row reduction of stacked bases needs them.
@@ -394,7 +403,8 @@ class Projector:
 
     Over Q idempotence plus symmetry already pin the eigenvalues to
     exactly 0 and 1, so construction only has those two checks.  Both run
-    on every construction; the idempotence product itself is computed
+    on every construction, including the matrices `projector_from_span`
+    assembles from integers; the idempotence product itself is computed
     once per distinct matrix per process (`Matrix.is_idempotent`), so
     rebuilding a projector already seen re-reads its verdict.
 
@@ -559,13 +569,36 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return orthocomplement(join(orthocomplement(a), orthocomplement(b)))
 
 
+def _span_matrix(ortho: tuple[tuple[int, ...], ...], d: int) -> Matrix:
+    """sum_w (w w^T) / (w . w) over mutually orthogonal integer rows w of
+    length d, in one integer pass.  With L the lcm of the norms w . w,
+    entry (i, j) is N / L where N = sum_w (L // w . w) w_i w_j; N is
+    computed on the upper triangle only, and each Fraction(N, L) object
+    sits at both (i, j) and (j, i).  The entries are Fractions already,
+    so the Matrix is made without passing them through `_frac` again."""
+    norms = [sum(map(operator.mul, w, w)) for w in ortho]
+    lcm = math.lcm(*norms)
+    weights = [lcm // n for n in norms]
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = Fraction(
+                sum(s * w[i] * w[j] for s, w in zip(weights, ortho)), lcm)
+    m = object.__new__(Matrix)
+    m._rows = tuple(map(tuple, rows))
+    return m
+
+
 def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
                         label: str | None = None) -> Projector:
     """Orthogonal projector onto span{vectors}.
 
     Linearly dependent spanning sets are reduced, not rejected.  The
-    matrix is assembled as sum_w (w w^T) / (w . w) over the fraction-free
-    Gram-Schmidt basis w of the span, which seeds both range bases.
+    matrix is sum_w (w w^T) / (w . w) over the fraction-free Gram-Schmidt
+    basis w of the span, assembled by `_span_matrix` in one integer pass
+    over the common denominator lcm(w . w); that basis also seeds both
+    range bases.  The result still goes through `Projector`'s symmetry
+    and idempotence checks, as any other matrix does.
     """
     vecs = [v if isinstance(v, Vector) else Vector(v) for v in vectors]
     if not vecs:
@@ -573,11 +606,7 @@ def projector_from_span(vectors: Sequence[Vector | Sequence[Rational]],
     span = Subspace.from_span(vecs)
     basis = span._rows
     ortho = basis if len(basis) < 2 else _orthogonalized(basis)
-    result = Matrix.zero(span.dim_ambient)
-    for w in ortho:
-        ww = sum(map(operator.mul, w, w))
-        result = result + Matrix([[Fraction(a * b, ww) for b in w] for a in w])
-    p = Projector(result, label)
+    p = Projector(_span_matrix(ortho, span.dim_ambient), label)
     p._basis, p._ortho = basis, ortho
     return p
 

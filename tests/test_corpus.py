@@ -146,6 +146,19 @@ class TestEmit:
         cf = builtin_file(name)
         assert parse(emit(cf)) == cf
 
+    @pytest.mark.parametrize("taken", [["Q.1"], ["Q.1", "Q.1_"]])
+    def test_derived_labels_avoid_taken_ones(self, taken):
+        # the derived vectors of span Q would be Q.1 and Q.2
+        rays = ["0 0 1", "1 1 0"]
+        text = "dim 3\n" + "".join(
+            f"vec {label} = {ray}\n" for label, ray in zip(taken, rays))
+        text += "vec a = 1 0 0\nvec b = 0 1 0\nspan Q = a b\n"
+        ps = to_projector_set(parse(text))
+        emitted = emit(ps)
+        assert to_projector_set(parse(emitted)) == ps
+        derived = parse(emitted).spans[0][1]
+        assert len(derived) == 2 and not set(derived) & set(taken)
+
     def test_random_file_round_trips(self):
         rng = Random(36912)
         for _ in range(30):

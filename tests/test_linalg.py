@@ -7,6 +7,7 @@ the subspace lattice laws on small dimensions.
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -17,9 +18,10 @@ from kscontext import (BUILTIN_NAMES, Matrix, Projector, Subspace, Vector,
                        builtin, column_space, complement, contains,
                        is_orthogonal, join, meet, member, null_space,
                        orthocomplement, projector_from_span, rref)
-from kscontext.linalg import _idempotent
+from kscontext import linalg
+from kscontext.linalg import _idempotent, _orthogonalized
 
-from _gen import (fraction_null_space, fraction_span, gram_schmidt,
+from _gen import (fraction_null_space, fraction_span, gram_schmidt, peres24,
                   random_fraction, random_orthogonal_basis, random_subspace,
                   random_vector)
 
@@ -142,6 +144,99 @@ class TestSpanMatrixAgainstGramSchmidt:
     def test_builtins(self, name):
         for p in builtin(name).projectors.values():
             assert p.matrix == gram_schmidt_matrix(p.range_basis)
+
+    # the bench workloads' shapes: D8 root rays, Peres' rays, and a rank-3
+    # span in Q^8 whose spanners are pairwise non-orthogonal
+    D8_ROOTS = [tuple(1 if k == i else s if k == j else 0 for k in range(8))
+                for i, j in itertools.combinations(range(8), 2) for s in (1, -1)]
+    PERES_RAYS = [p.range_basis[0] for p in peres24().projectors.values()]
+    SKEW_SPAN = [(1, 1, 1, 0, 0, 0, 0, 0), (1, 2, 0, 1, 0, 0, 0, 0),
+                 (0, 1, 2, 3, 1, 0, 0, 0)]
+
+    @staticmethod
+    def assert_matches_oracle(vectors):
+        p = projector_from_span(vectors)
+        oracle = gram_schmidt_matrix(vectors)
+        assert p.matrix == oracle
+        assert all(type(e) is Fraction for row in p.matrix.rows for e in row)
+        assert hash(p) == hash(Projector(p.matrix)) == hash(Projector(oracle)) \
+            == hash(Projector(Matrix(p.matrix.rows)))
+        return p
+
+    def test_d8_root_rays(self):
+        assert len(self.D8_ROOTS) == 56
+        for ray in self.D8_ROOTS:
+            assert self.assert_matches_oracle([ray]).rank == 1
+
+    def test_peres_rays(self):
+        assert len(self.PERES_RAYS) == 24
+        for ray in self.PERES_RAYS:
+            assert self.assert_matches_oracle([ray]).rank == 1
+
+    def test_skew_rank_three_span_in_q8(self):
+        pairs = itertools.combinations(self.SKEW_SPAN, 2)
+        assert all(sum(map(int.__mul__, u, v)) for u, v in pairs)
+        p = self.assert_matches_oracle(self.SKEW_SPAN)
+        assert p.rank == 3
+        # the Gram-Schmidt rows' norms differ and none of them is their lcm
+        norms = [sum(x * x for x in w) for w in _orthogonalized(p.range_basis)]
+        lcm = math.lcm(*norms)
+        assert len(set(norms)) == 3 and lcm not in norms
+        assert lcm < math.prod(norms)
+
+
+class TestSpanProjectorsAreChecked:
+    """`projector_from_span` hands its assembled matrix to `Projector`,
+    which still checks symmetry and idempotence."""
+
+    @pytest.mark.parametrize("fault,check", [
+        ("doubled", "idempotent"),
+        ("skewed", "symmetric"),
+    ])
+    def test_a_faulty_assembly_is_rejected(self, monkeypatch, fault, check):
+        real = linalg._span_matrix
+
+        def faulty(ortho, d):
+            m = real(ortho, d)
+            if fault == "doubled":  # symmetric, and (2P)(2P) = 4P
+                return m * 2
+            rows = [list(row) for row in m.rows]
+            rows[0][1] += 1
+            return Matrix(rows)
+
+        monkeypatch.setattr(linalg, "_span_matrix", faulty)
+        faulty_matrix = faulty(((1, 1, 0),), 3)
+        assert faulty_matrix.is_symmetric() is (fault == "doubled")
+        with pytest.raises(ValueError, match=check):
+            projector_from_span([(1, 1, 0)])
+
+
+class TestExactEntriesOnly:
+    """A binary float is not the rational it looks like (0.1 is
+    3602879701896397/2^55), so no entry or scalar may be a float."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Vector([0.1, 0]),
+        lambda: Matrix([[0.5, 0.5], [0.5, 0.5]]),
+        lambda: Vector([1, 0]) * 0.5,
+        lambda: 0.5 * Vector([1, 0]),
+        lambda: Matrix.identity(2) * 0.5,
+        lambda: projector_from_span([[0.1, 0]]),
+    ], ids=["vector", "matrix", "vector-scalar", "scalar-vector",
+            "matrix-scalar", "span"])
+    def test_floats_are_refused(self, build):
+        with pytest.raises(TypeError, match=r"float entry (0\.1|0\.5)"):
+            build()
+
+    def test_exact_forms_are_kept(self):
+        tenth = Fraction(1, 10)
+        for entry in (tenth, "1/10", "0.1", Decimal("0.1")):
+            assert Vector([entry, 1]).entries == (tenth, 1)
+            assert Matrix([[entry]]).rows == ((tenth,),)
+            assert (Vector([1, 1]) * entry).entries == (tenth, tenth)
+        assert projector_from_span([["1/2", 0]]).matrix == Matrix([[1, 0], [0, 0]])
+        assert projector_from_span([[Decimal("0.5"), 0], [3, 0]]).rank == 1
+        assert type(Vector([3]).entries[0]) is Fraction
 
 
 class TestComplement:
