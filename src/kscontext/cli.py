@@ -240,19 +240,14 @@ def _cmd_localize(args, cf, ps):
         if e.context:
             lines.append("violated context: " + " ".join(e.context))
         return payload, lines, EXIT_VIOLATION
-    groups: dict[str, list[str]] = {}
-    for label, verdict in verdicts.items():
-        groups.setdefault(verdict.value, []).append(label)
-    payload = {
-        "fixed": fixed,
-        "verdicts": {label: v.value for label, v in verdicts.items()},
-    }
+    shown = {label: v.value for label, v in verdicts.items()}
     lines = ["fixed: " + (" ".join(f"{l}={v}" for l, v in sorted(fixed.items()))
                           if fixed else "none")]
-    for kind in ("both-contradict", "forced-1", "forced-0", "unconstrained"):
-        members = groups.get(kind, [])
-        lines.append(f"{kind}: " + (" ".join(members) if members else "none"))
-    return payload, lines, EXIT_OK
+    lines += [f"{kind}: " + (" ".join(l for l, v in shown.items() if v == kind)
+                             or "none")
+              for kind in ("both-contradict", "forced-1", "forced-0",
+                           "unconstrained")]
+    return {"fixed": fixed, "verdicts": shown}, lines, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +269,7 @@ def _render_json(report: dict) -> str:
     """
     result = report["result"]
     witnesses = result.get("witnesses")
-    listed = _render_int_dicts(witnesses, 2) if type(witnesses) is list else None
+    listed = _render_int_dicts(witnesses) if type(witnesses) is list else None
     if listed is not None:
         key = '\n    "witnesses": '
         head, _, tail = json.dumps(
@@ -285,11 +280,12 @@ def _render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _render_int_dicts(items: list, depth: int) -> str | None:
+def _render_int_dicts(items: list) -> str | None:
     """`json.dumps(items, indent=2, sort_keys=True)` as it reads at
-    `depth` in a report, for a non-empty list of plain dicts that share one
-    set of `str` keys and whose values are all of type exactly `int` (the
-    `color --mode all` witnesses), or None for any other list.
+    `report["result"]["witnesses"]`, two levels into a report, for a
+    non-empty list of plain dicts that share one set of `str` keys and
+    whose values are all of type exactly `int` (the `color --mode all`
+    witnesses), or None for any other list.
 
     One %-template of the sorted keys, each key encoded with any '%'
     doubled and each value a "%d", formats every dict; "%d" writes an int
@@ -302,7 +298,8 @@ def _render_int_dicts(items: list, depth: int) -> str | None:
     values = itertools.chain.from_iterable(map(dict.values, items))
     if set(map(len, items)) != {len(keys)} or set(map(type, values)) != {int}:
         return None
-    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
+    # the list sits two levels into the report, its dicts' keys four
+    inner, deeper = " " * 6, " " * 8
     slots = f",\n{deeper}".join(f"{json.dumps(k).replace('%', '%%')}: %d"
                                  for k in keys)
     template = f"{{\n{deeper}{slots}\n{inner}}}"
@@ -312,7 +309,7 @@ def _render_int_dicts(items: list, depth: int) -> str | None:
     except KeyError:          # as many keys, other ones
         return None
     parts[0] = f"[\n{inner}{parts[0]}"
-    parts[-1] = f"{parts[-1]}\n{'  ' * depth}]"
+    parts[-1] = f"{parts[-1]}\n    ]"
     return f",\n{inner}".join(parts)
 
 

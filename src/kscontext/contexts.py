@@ -57,7 +57,7 @@ class ProjectorSet:
     reporting non-orthogonal pairs is `validate_context`'s job, and the
     command line needs to load broken files in order to complain about
     them.  Labels must resolve and contexts must have at least two
-    members; everything else is checked lazily.
+    members, each named once; everything else is checked lazily.
 
     Immutable: the orthogonality graph and maximal contexts are memoized,
     and each declared context's `ContextReport` is kept from loading.
@@ -93,6 +93,11 @@ class ProjectorSet:
             if len(ctx.members) < 2:
                 raise ValueError(
                     f"context {ctx.display_name()} needs at least two members")
+            if len(set(ctx.members)) < len(ctx.members):
+                twice = next(m for i, m in enumerate(ctx.members)
+                             if m in ctx.members[:i])
+                raise ValueError(
+                    f"context {ctx.display_name()} names {twice!r} twice")
             report = reports[ctx.members] = validate_context(self, ctx.members)
             normalized.append(Context(ctx.members, report.maximal, ctx.label))
         self.contexts: tuple[Context, ...] = tuple(normalized)

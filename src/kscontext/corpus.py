@@ -14,9 +14,9 @@ clean diffs:
 Every `vec` declares a rational vector; a vector becomes a rank-1
 projector unless some `span` consumes it, in which case only the span's
 projector exists.  Contexts reference projector labels (vectors or
-spans).  `dim` must come first; duplicate labels are rejected; vectors,
-spans and states must match the declared dimension; zero vectors are
-rejected.
+spans), each member once.  `dim` must come first; duplicate labels are
+rejected; vectors, spans and states must match the declared dimension;
+zero vectors are rejected.
 
 Two corpora are built in:
 
@@ -117,7 +117,8 @@ def parse(text: str) -> CorpusFile:
     """Parse PSET text into a validated CorpusFile.
 
     Raises PsetParseError with a line and column on any syntax error,
-    dimension mismatch, duplicate or unknown label, or zero vector.
+    dimension mismatch, duplicate or unknown label, context member named
+    twice, or zero vector.
     """
     dimension: int | None = None
     vectors: list[tuple[str, Vector]] = []
@@ -174,8 +175,13 @@ def parse(text: str) -> CorpusFile:
             if len(body) < 2:
                 raise PsetParseError("a context needs at least two members",
                                      lineno, lcol)
-            members = tuple(_check_label(t, lineno, c) for t, c in body)
-            contexts.append((label, members, lineno))
+            named: set[str] = set()
+            for t, c in body:
+                if _check_label(t, lineno, c) in named:
+                    raise PsetParseError(
+                        f"context {label!r} names {t!r} twice", lineno, c)
+                named.add(t)
+            contexts.append((label, tuple(t for t, _ in body), lineno))
         else:  # state
             if label in seen_state_labels:
                 raise PsetParseError(f"duplicate state {label!r}", lineno, lcol)

@@ -168,9 +168,6 @@ class Matrix:
         compares by its Fraction rows."""
         return _idempotent(self)
 
-    def column(self, j: int) -> Vector:
-        return Vector(r[j] for r in self._rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self._rows))
 

@@ -112,6 +112,11 @@ class PinVerdict(enum.Enum):
     UNCONSTRAINED = "unconstrained"
 
 
+# by (pin to 1 satisfiable, pin to 0 satisfiable)
+_VERDICTS = {(1, 1): PinVerdict.UNCONSTRAINED, (1, 0): PinVerdict.FORCED_ONE,
+             (0, 1): PinVerdict.FORCED_ZERO, (0, 0): PinVerdict.BOTH_CONTRADICT}
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """A search's answer.  `violated_context` and `violated_members` are
@@ -266,9 +271,11 @@ def _assign(net: _Network, assigned: int, ones: int, var: int, val: int):
 
 class _Acc:
     """What one component's search found; a model is the int of its
-    variables that are 1."""
+    variables that are 1, and `start` the state (assigned, ones) that
+    its seed propagated to."""
 
-    __slots__ = ("nodes", "count", "first", "solutions", "last_conflict")
+    __slots__ = ("nodes", "count", "first", "solutions", "last_conflict",
+                 "start")
 
     def __init__(self):
         self.nodes = 0
@@ -276,6 +283,7 @@ class _Acc:
         self.first = None
         self.solutions = []
         self.last_conflict = None
+        self.start = None
 
 
 def _dfs(net: _Network, assigned: int, ones: int, mode: Mode, acc: _Acc) -> bool:
@@ -339,6 +347,7 @@ def _search_task(net: _Network, seed: tuple[tuple[int, int], ...], mode: Mode,
     acc = _Acc()
     acc.nodes += 1
     conflict, assigned, ones = _propagate(net, seed, *state)
+    acc.start = assigned, ones
     if conflict is not None:
         acc.last_conflict = conflict
     elif (_dfs(net, assigned, ones, "first" if mode == "count" else mode, acc)
@@ -466,14 +475,22 @@ def admissible_assignments(ps: ProjectorSet, mode: Mode = "first",
                          f"got {mode!r}")
     fixed = _checked_values(ps, fixed or {})
     net = _network(ps)
+    return _merge(net, [acc for _, acc in _components(net, fixed, mode)], mode)
+
+
+def _components(net: _Network, fixed: Mapping[str, int], mode: Mode
+                ) -> list[tuple[int, _Acc]]:
+    """Each component's mask and its search under the forced and fixed
+    values, in order of lowest decision index, up to and including the
+    first UNSAT one."""
     full = (1 << len(net.labels)) - 1
-    accs = []       # up to and including the first UNSAT component
+    parts = []
     for comp in _parts(net.adj, full):
         acc = _search_task(net, _seed(net, comp, fixed), mode, (full & ~comp, 0))
-        accs.append(acc)
+        parts.append((comp, acc))
         if not acc.count:
             break
-    return _merge(net, accs, mode)
+    return parts
 
 
 def _validate_fixed_locally(net: _Network, fixed: Mapping[str, int]) -> None:
@@ -504,63 +521,35 @@ def localized_indefiniteness_certificate(
 
     A pin is satisfiable when some admissible assignment extends `fixed`
     and the pin; a label whose both pins are UNSAT is value indefinite
-    given the fixings.  Components are independent, so once `fixed` is
-    satisfiable on every component a pin needs a search of its own
-    component only, started from the state that the forced values and
-    `fixed` propagate to there, which is computed once per component;
-    when `fixed` is UNSAT on one, so is every pin.  Every witness found
-    shows each of its values satisfiable, so a pin that an earlier
-    witness covers needs no search.
+    given the fixings.  `fixed` is searched one component at a time, as
+    `admissible_assignments` searches it; when it is UNSAT on one
+    component, so is every pin.  Otherwise a pin needs a search of its
+    own component only, from the state that the forced values and
+    `fixed` propagated to there.  Two masks hold the variables that some
+    witness found so far sets to 1 and those it sets to 0, so a pin that
+    an earlier witness covers needs no search.
     An inconsistent `fixed` is reported, not silently repaired.
     """
     fixed = _checked_values(ps, fixed or {})
     net = _network(ps)
     # the first broken rule is reported, in the order check_assignment gives
     _validate_fixed_locally(net, fixed)
-    full = (1 << len(net.labels)) - 1
-    components = _parts(net.adj, full)
-    component_of = {l: comp for comp in components
-                    for l in _members(net.labels, comp)}
-    start: dict[int, tuple[int, int]] = {}      # by component mask
-    witnessed: set[tuple[str, int]] = set()   # (label, value) pairs seen SAT
-
-    def find_witness(comp: int, seed) -> bool:
-        first = _search_task(net, seed, "first", start[comp]).first
-        if first is None:
-            return False
-        witnessed.update(zip(_members(net.labels, comp),
-                             _members(_row(first, len(net.labels)), comp)))
-        return True
-
-    def consistent_alone(comp: int) -> bool:
-        conflict, assigned, ones = _propagate(net, _seed(net, comp, fixed),
-                                              full & ~comp, 0)
-        start[comp] = assigned, ones
-        return conflict is None and find_witness(comp, ())
-
-    # all() stops at the first UNSAT component; the witnesses of the SAT
-    # components before it extend to no total assignment, so drop them
-    consistent = all(consistent_alone(comp) for comp in components)
-    if not consistent:
-        witnessed.clear()
-
-    def satisfiable(label: str, value: int) -> bool:
-        return (label, value) in witnessed or (
-            consistent and find_witness(component_of[label],
-                                        ((net.index[label], value),)))
-
+    parts = _components(net, fixed, "first")
+    unfixed = [l for l in sorted(ps.projectors) if l not in fixed]
+    if not all(acc.count for _, acc in parts):
+        return dict.fromkeys(unfixed, PinVerdict.BOTH_CONTRADICT)
+    # components hold disjoint bits, so these sums are unions
+    ones = sum(acc.first for _, acc in parts)
+    zeros = sum(comp & ~acc.first for comp, acc in parts)
     verdicts: dict[str, PinVerdict] = {}
-    for label in sorted(ps.projectors):
-        if label in fixed:
-            continue
-        sat_one = satisfiable(label, 1)
-        sat_zero = satisfiable(label, 0)
-        if sat_one and sat_zero:
-            verdicts[label] = PinVerdict.UNCONSTRAINED
-        elif sat_one:
-            verdicts[label] = PinVerdict.FORCED_ONE
-        elif sat_zero:
-            verdicts[label] = PinVerdict.FORCED_ZERO
-        else:
-            verdicts[label] = PinVerdict.BOTH_CONTRADICT
+    for label in unfixed:
+        var = net.index[label]
+        comp, acc = next(part for part in parts if part[0] >> var & 1)
+        for val in (1, 0):
+            if not (ones if val else zeros) >> var & 1:
+                first = _search_task(net, ((var, val),), "first", acc.start).first
+                if first is not None:
+                    ones |= first
+                    zeros |= comp & ~first
+        verdicts[label] = _VERDICTS[ones >> var & 1, zeros >> var & 1]
     return verdicts

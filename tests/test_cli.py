@@ -1,10 +1,13 @@
 """Command-line behavior: reports, formats, exit statuses."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -436,6 +439,81 @@ class TestLocalize:
         status, _, err = run(capsys, "localize", "--builtin", "cabello-c1c6",
                              "--fix", "nope=1")
         assert status == 1
+
+
+DUPLICATE_MEMBER_PSET = """\
+dim 3
+vec a = 1 0 0
+vec b = 0 1 0
+vec c = 0 0 1
+context C = a b b c
+"""
+
+_SUBCOMMANDS = (["validate"], ["color", "--mode", "all"],
+                ["eval", "--state", "1,0,0"], ["localize"])
+
+
+class TestDuplicateMember:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda a: a[0])
+    def test_rejected_at_parse(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "dup.pset"
+        path.write_text(DUPLICATE_MEMBER_PSET)
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:],
+                               "--format", fmt)
+        assert (status, out) == (1, "")
+        assert err == (f"{path}: line 5, column 17: "
+                       f"context 'C' names 'b' twice\n")
+
+
+_ENTRIES = st.sampled_from(["0", "1", "-1", "2", "-2", "1/2", "-2/3"])
+
+
+@st.composite
+def _small_psets(draw):
+    """(PSET text, inline state) on at most 3 dimensions and 5 vectors;
+    a span or a context may name one member more than once.  In about
+    half the files the first vectors are the coordinate axes, so that
+    maximal contexts are common."""
+    dim = draw(st.integers(1, 3))
+    entries = st.lists(_ENTRIES, min_size=dim, max_size=dim)
+    axes = [["1" if i == k else "0" for i in range(dim)] for k in range(dim)]
+    vectors = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    rows = axes[:len(vectors)] if draw(st.booleans()) else []
+    rows += [draw(entries) for _ in vectors[len(rows):]]
+    lines = [f"dim {dim}"]
+    lines += [f"vec {v} = {' '.join(row)}" for v, row in zip(vectors, rows)]
+    spans = draw(st.lists(st.lists(st.sampled_from(vectors), min_size=1,
+                                   max_size=3), max_size=2))
+    lines += [f"span s{i} = {' '.join(m)}" for i, m in enumerate(spans)]
+    consumed = {m for members in spans for m in members}
+    labels = ([v for v in vectors if v not in consumed]
+              + [f"s{i}" for i in range(len(spans))])
+    contexts = draw(st.lists(st.lists(st.sampled_from(labels), min_size=2,
+                                      max_size=4), max_size=2))
+    lines += [f"context C{i} = {' '.join(m)}" for i, m in enumerate(contexts)]
+    return "\n".join(lines) + "\n", ",".join(draw(entries))
+
+
+class TestSmallFilesFailClosed:
+    """Every subcommand on a small file answers or exits with a
+    documented status; none raises."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_small_psets(), st.sampled_from(["text", "json"]))
+    @example((DUPLICATE_MEMBER_PSET, "1,0,0"), "text")
+    def test_documented_exit_status(self, case, fmt):
+        text, state = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "small.pset"
+            path.write_text(text)
+            for command, *rest in _SUBCOMMANDS:
+                if command == "eval":
+                    rest = [f"--state={state}"]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    status = main([command, str(path), *rest, "--format", fmt])
+                assert status in (0, 1, 2, 3), (command, text)
 
 
 class TestDashLabels:

@@ -362,6 +362,14 @@ class TestProjectorSetConstruction:
             ProjectorSet(4, {"a": projector_from_span([(0, 0, 0, 1)])},
                          [Context(("a",), maximal=False, label="C")])
 
+    def test_context_naming_a_member_twice_rejected(self):
+        rays = {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
+        projectors = {l: projector_from_span([r]) for l, r in rays.items()}
+        for ctx in (Context(("a", "b", "b", "c"), maximal=False, label="C"),
+                    ("C", ("a", "b", "b", "c")), ("C", ("b", "b"))):
+            with pytest.raises(ValueError, match="C names 'b' twice"):
+                ProjectorSet(3, projectors, [ctx])
+
     def test_declared_maximality_recomputed(self, c1c6):
         ps = ProjectorSet(4, dict(c1c6.projectors),
                           [("half", ("P1_1", "P1_2"))])

@@ -70,6 +70,14 @@ class TestParse:
         with pytest.raises(PsetParseError, match="two members"):
             parse("dim 2\nvec a = 1 0\ncontext C = a\n")
 
+    def test_context_member_named_twice(self):
+        text = ("dim 3\nvec a = 1 0 0\nvec b = 0 1 0\nvec c = 0 0 1\n"
+                "context C = a b b c\n")
+        with pytest.raises(PsetParseError,
+                           match="context 'C' names 'b' twice") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (5, 17)
+
     def test_missing_dim(self):
         with pytest.raises(PsetParseError, match="dim"):
             parse("vec a = 1 0\n")
